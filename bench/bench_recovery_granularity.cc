@@ -97,9 +97,9 @@ int main() {
     entry.threads = ParallelForThreads();
     entry.result = r;
     entry.recovery.present = true;
-    entry.recovery.resumes = report.resumes;
-    entry.recovery.resumed_rounds = report.resumed_rounds;
-    entry.recovery.rebalances = report.rebalances;
+    entry.recovery.resumes = stats.resumes;
+    entry.recovery.resumed_rounds = stats.resumed_rounds;
+    entry.recovery.rebalances = stats.rebalances;
     entry.recovery.rebalance_comm = stats.rebalance_comm;
     entry.recovery.replans = report.replans;
     json_entries.push_back(entry);
@@ -132,7 +132,7 @@ int main() {
         {w.name, "resume",
          Fmt(static_cast<std::int64_t>(resume.rounds)),
          Fmt(resume.recovery_comm), Fmt(resume.critical_path),
-         Fmt(static_cast<std::int64_t>(resume_report.resumed_rounds)), "0",
+         Fmt(static_cast<std::int64_t>(resume_stats.resumed_rounds)), "0",
          bench::Ratio(static_cast<double>(resume.recovery_comm),
                       static_cast<double>(replay.recovery_comm)),
          "-"});

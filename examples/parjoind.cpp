@@ -65,12 +65,10 @@ namespace {
 using S = parjoin::CountingSemiring;
 
 // Observability flags: where to write the trace/metrics dumps and which
-// profile/calibration files to use.
-struct ObsPaths {
-  std::string trace_out;
+// profile/calibration files to use (the shared ones plus the metrics
+// dump).
+struct ObsPaths : parjoin::serve::ObsFlags {
   std::string metrics_out;
-  std::string profile;
-  std::string calibration;
 };
 
 int Usage(const char* argv0) {
@@ -331,6 +329,13 @@ int main(int argc, char** argv) {
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const parjoin::StatusOr<bool> shared = parjoin::serve::ParseSharedFlag(
+        arg, &server_options.exec, &obs_paths);
+    if (!shared.ok()) {
+      std::cerr << "error: " << shared.status().message() << "\n";
+      return Usage(argv[0]);
+    }
+    if (*shared) continue;
     std::string value;
     if (arg == "--demo") {
       demo = true;
@@ -357,79 +362,12 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
       server_options.load_budget = *budget;
-    } else if (parjoin::serve::MatchFlag(arg, "faults", &value)) {
-      auto seed = parjoin::serve::ParseUint64Flag("faults", value);
-      if (!seed.ok()) {
-        std::cerr << "error: " << seed.status() << "\n";
-        return Usage(argv[0]);
-      }
-      server_options.exec.faults.enabled = true;
-      server_options.exec.faults.seed = *seed;
-      if (server_options.exec.checkpoint_interval == 0) {
-        server_options.exec.checkpoint_interval = 2;
-      }
-    } else if (parjoin::serve::MatchFlag(arg, "checkpoint-interval",
-                                         &value)) {
-      auto interval =
-          parjoin::serve::ParseInt64Flag("checkpoint-interval", value);
-      if (!interval.ok() || *interval < 0 || *interval > 1000000) {
-        std::cerr << "error: --checkpoint-interval needs an integer in "
-                     "[0, 1000000], got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      server_options.exec.checkpoint_interval =
-          static_cast<int>(*interval);
-    } else if (arg == "--resume") {
-      server_options.exec.resume_from_checkpoint = true;
-    } else if (arg == "--replan") {
-      server_options.exec.replan_on_budget_abort = true;
-    } else if (parjoin::serve::MatchFlag(arg, "straggle-threshold",
-                                         &value)) {
-      auto threshold =
-          parjoin::serve::ParseDoubleFlag("straggle-threshold", value);
-      if (!threshold.ok() || *threshold <= 0) {
-        std::cerr << "error: --straggle-threshold needs a number > 0, "
-                     "got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      server_options.exec.straggle_threshold = *threshold;
-    } else if (parjoin::serve::MatchFlag(arg, "load-budget-factor",
-                                         &value)) {
-      auto factor =
-          parjoin::serve::ParseDoubleFlag("load-budget-factor", value);
-      if (!factor.ok() || *factor <= 0) {
-        std::cerr << "error: --load-budget-factor needs a number > 0, "
-                     "got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      server_options.exec.load_budget_factor = *factor;
-    } else if (parjoin::serve::MatchFlag(arg, "trace-out", &value)) {
-      if (value.empty()) {
-        std::cerr << "error: --trace-out needs a file path\n";
-        return Usage(argv[0]);
-      }
-      obs_paths.trace_out = value;
     } else if (parjoin::serve::MatchFlag(arg, "metrics-out", &value)) {
       if (value.empty()) {
         std::cerr << "error: --metrics-out needs a file path\n";
         return Usage(argv[0]);
       }
       obs_paths.metrics_out = value;
-    } else if (parjoin::serve::MatchFlag(arg, "profile", &value)) {
-      if (value.empty()) {
-        std::cerr << "error: --profile needs a file path\n";
-        return Usage(argv[0]);
-      }
-      obs_paths.profile = value;
-    } else if (parjoin::serve::MatchFlag(arg, "calibration", &value)) {
-      if (value.empty()) {
-        std::cerr << "error: --calibration needs a file path\n";
-        return Usage(argv[0]);
-      }
-      obs_paths.calibration = value;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "error: unknown flag " << arg << "\n";
       return Usage(argv[0]);

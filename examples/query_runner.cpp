@@ -63,11 +63,9 @@ namespace {
 
 using S = parjoin::CountingSemiring;
 
-// Observability file paths (all optional; empty = off).
-struct ObsOptions {
-  std::string trace_out;
-  std::string profile;
-  std::string calibration;
+// Observability file paths (all optional; empty = off): the shared ones
+// plus this binary's calibration fit output.
+struct ObsOptions : parjoin::serve::ObsFlags {
   std::string fit_calibration;
 };
 
@@ -169,7 +167,7 @@ int RunSpec(const parjoin::serve::QuerySpec& spec, bool dump_json,
   if (xs.recovery_comm > 0 || exec.plan.recovery.attempts > 1) {
     const auto& rec = exec.plan.recovery;
     std::cout << "Recovery: " << rec.attempts << " attempt(s), "
-              << rec.crashes << " crash(es), " << xs.retransmits
+              << xs.crashes << " crash(es), " << xs.retransmits
               << " retransmit(s), " << xs.recovery_comm
               << " recovery tuples"
               << (rec.degraded_to_baseline ? ", degraded to baseline" : "")
@@ -267,6 +265,13 @@ int main(int argc, char** argv) {
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const parjoin::StatusOr<bool> shared =
+        parjoin::serve::ParseSharedFlag(arg, &exec_options, &obs);
+    if (!shared.ok()) {
+      std::cerr << "error: " << shared.status().message() << "\n";
+      return Usage(argv[0]);
+    }
+    if (*shared) continue;
     std::string value;
     if (arg == "--json") {
       dump_json = true;
@@ -275,72 +280,6 @@ int main(int argc, char** argv) {
     } else if (parjoin::serve::MatchFlag(arg, "demo", &value)) {
       demo = true;
       demo_dir = value;
-    } else if (parjoin::serve::MatchFlag(arg, "faults", &value)) {
-      auto seed = parjoin::serve::ParseUint64Flag("faults", value);
-      if (!seed.ok()) {
-        std::cerr << "error: " << seed.status() << "\n";
-        return Usage(argv[0]);
-      }
-      exec_options.faults.enabled = true;
-      exec_options.faults.seed = *seed;
-      if (exec_options.checkpoint_interval == 0) {
-        exec_options.checkpoint_interval = 2;
-      }
-    } else if (parjoin::serve::MatchFlag(arg, "checkpoint-interval",
-                                         &value)) {
-      auto interval =
-          parjoin::serve::ParseInt64Flag("checkpoint-interval", value);
-      if (!interval.ok() || *interval < 0 || *interval > 1000000) {
-        std::cerr << "error: --checkpoint-interval needs an integer in "
-                     "[0, 1000000], got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      exec_options.checkpoint_interval = static_cast<int>(*interval);
-    } else if (arg == "--resume") {
-      exec_options.resume_from_checkpoint = true;
-    } else if (arg == "--replan") {
-      exec_options.replan_on_budget_abort = true;
-    } else if (parjoin::serve::MatchFlag(arg, "straggle-threshold",
-                                         &value)) {
-      auto threshold =
-          parjoin::serve::ParseDoubleFlag("straggle-threshold", value);
-      if (!threshold.ok() || *threshold <= 0) {
-        std::cerr << "error: --straggle-threshold needs a number > 0, "
-                     "got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      exec_options.straggle_threshold = *threshold;
-    } else if (parjoin::serve::MatchFlag(arg, "load-budget-factor",
-                                         &value)) {
-      auto factor =
-          parjoin::serve::ParseDoubleFlag("load-budget-factor", value);
-      if (!factor.ok() || *factor <= 0) {
-        std::cerr << "error: --load-budget-factor needs a number > 0, "
-                     "got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      exec_options.load_budget_factor = *factor;
-    } else if (parjoin::serve::MatchFlag(arg, "trace-out", &value)) {
-      if (value.empty()) {
-        std::cerr << "error: --trace-out needs a file path\n";
-        return Usage(argv[0]);
-      }
-      obs.trace_out = value;
-    } else if (parjoin::serve::MatchFlag(arg, "profile", &value)) {
-      if (value.empty()) {
-        std::cerr << "error: --profile needs a file path\n";
-        return Usage(argv[0]);
-      }
-      obs.profile = value;
-    } else if (parjoin::serve::MatchFlag(arg, "calibration", &value)) {
-      if (value.empty()) {
-        std::cerr << "error: --calibration needs a file path\n";
-        return Usage(argv[0]);
-      }
-      obs.calibration = value;
     } else if (parjoin::serve::MatchFlag(arg, "fit-calibration", &value)) {
       if (value.empty()) {
         std::cerr << "error: --fit-calibration needs a file path\n";

@@ -75,8 +75,7 @@ class Cluster {
   };
 
   explicit Cluster(int p, std::uint64_t seed = 0x9a3f7151c2d4e680ULL)
-      : p_total_(p), live_(p), rng_(seed),
-        since_ckpt_(static_cast<size_t>(p), 0) {
+      : live_(p), rng_(seed), since_ckpt_(static_cast<size_t>(p), 0) {
     CHECK_GT(p, 0);
   }
 
@@ -87,8 +86,6 @@ class Cluster {
   // 0..p()-1, so after a crash a replay naturally re-hosts the dead
   // server's virtual servers on the survivors (v mod (p-1)).
   int p() const { return live_; }
-  // The configured cluster size, ignoring crashes.
-  int p_total() const { return p_total_; }
 
   // Source of reproducible randomness for hashing decisions inside
   // primitives (hash-partitioning seeds, KMV hash functions, ...).
@@ -120,11 +117,13 @@ class Cluster {
 
   const Stats& stats() const { return stats_; }
 
-  // Resets accounting for a fresh measurement. Any ParallelRegion guards
-  // still alive (e.g. on the unwind path of an aborted attempt) are
-  // invalidated via the region epoch and become no-ops.
+  // Resets accounting (the ledger and the fault log) for a fresh
+  // measurement. Any ParallelRegion guards still alive (e.g. on the unwind
+  // path of an aborted attempt) are invalidated via the region epoch and
+  // become no-ops.
   void ResetStats() {
     stats_ = Stats();
+    fault_log_.clear();
     regions_.clear();
     ++region_epoch_;
     charged_rounds_ = 0;
@@ -147,10 +146,7 @@ class Cluster {
     fault_log_.clear();
   }
   void DisableFaults() { faults_enabled_ = false; }
-  bool faults_enabled() const { return faults_enabled_; }
 
-  const FaultPlan& fault_plan() const { return plan_; }
-  FaultPlan& fault_plan() { return plan_; }
   const std::vector<std::string>& fault_log() const { return fault_log_; }
 
   // Exchange computes per-destination checksums only when this is true.
@@ -204,15 +200,11 @@ class Cluster {
           CheckedAdd(pending_retransmit_comm_, (*received)[victim]);
       (*received)[victim] = CheckedAdd((*received)[victim],
                                        (*received)[victim]);
-      fault_log_.push_back(
-          "corruption detected at round " +
-          std::to_string(charged_rounds_ + 1) + ": dest " +
-          std::to_string(victim) + " checksum mismatch (mask " +
-          std::to_string(e.corruption_mask) + "), retransmitted");
-      if (observer_ != nullptr) {
-        observer_->OnEvent("retransmit", charged_rounds_ + 1,
-                           fault_log_.back());
-      }
+      Emit("retransmit", charged_rounds_ + 1,
+           "corruption detected at round " +
+               std::to_string(charged_rounds_ + 1) + ": dest " +
+               std::to_string(victim) + " checksum mismatch (mask " +
+               std::to_string(e.corruption_mask) + "), retransmitted");
       return true;
     }
     return false;
@@ -223,7 +215,6 @@ class Cluster {
   // A round whose physical maximum exceeds `budget` throws
   // RoundAbort{kLoadBudget}. 0 disables. Independent of fault injection.
   void SetLoadBudget(std::int64_t budget) { load_budget_ = budget; }
-  std::int64_t load_budget() const { return load_budget_; }
 
   // Every `interval` non-recovery rounds, charges one replication round
   // that copies each server's traffic since the last checkpoint to its
@@ -237,7 +228,6 @@ class Cluster {
     algo_rounds_done_ = 0;
     ckpt_covered_rounds_ = 0;
   }
-  int checkpoint_interval() const { return ckpt_interval_; }
 
   // --- Resume points --------------------------------------------------------
 
@@ -269,17 +259,12 @@ class Cluster {
     fast_forward_remaining_ = skip_rounds;
     if (skip_rounds > 0) {
       stats_.resumes += 1;
-      fault_log_.push_back("resume: fast-forwarding " +
-                           std::to_string(skip_rounds) +
-                           " checkpointed round(s)");
-      if (observer_ != nullptr) {
-        EventRecord ev;
-        ev.kind = "resume";
-        ev.round = charged_rounds_;
-        ev.detail = fault_log_.back();
-        ev.moved = skip_rounds;
-        observer_->OnEventRecord(ev);
-      }
+      EventRecord payload;
+      payload.moved = skip_rounds;
+      Emit("resume", charged_rounds_,
+           "resume: fast-forwarding " + std::to_string(skip_rounds) +
+               " checkpointed round(s)",
+           payload);
     }
   }
 
@@ -288,24 +273,13 @@ class Cluster {
   // 0 (the default) keeps the passive model: an injected straggle factor
   // stretches the round's critical-path contribution. With a threshold
   // t > 0, a factor >= t is handled ACTIVELY: the victim's pending round
-  // load is shipped onto the other live servers (capacity-weighted) in one
-  // charged re-balance round, and the straggled round contributes the
+  // load is shipped evenly onto the other live servers in one charged
+  // re-balance round, and the straggled round contributes the
   // post-re-balance effective time instead of the stretched one.
   void SetStraggleThreshold(double threshold) {
     CHECK_GE(threshold, 0);
     straggle_threshold_ = threshold;
   }
-  double straggle_threshold() const { return straggle_threshold_; }
-
-  // Per-server capacity weights (heterogeneous-cluster groundwork: a
-  // round's effective time is max received/capacity). Indexed by physical
-  // server; servers beyond the vector default to 1.0. Empty (the default)
-  // keeps the homogeneous model bit-for-bit.
-  void SetCapacities(std::vector<double> capacities) {
-    for (double c : capacities) CHECK_GT(c, 0);
-    capacities_ = std::move(capacities);
-  }
-  const std::vector<double>& capacities() const { return capacities_; }
 
   // Algorithm entry guard: a previous attempt must not leave a parallel
   // region open (the epoch mechanism makes abandoned guards no-ops, but a
@@ -364,65 +338,59 @@ class Cluster {
     std::int64_t effective = 0; // post-re-balance round time
   };
 
-  double CapacityOf(size_t s) const {
-    return s < capacities_.size() ? capacities_[s] : 1.0;
-  }
-
-  // Effective synchronous-round time under per-server capacities: the
-  // maximum over servers of received/capacity. Equals the plain round
-  // maximum with uniform (unset) capacities.
-  std::int64_t EffectiveTime(const std::vector<std::int64_t>& physical) const {
-    if (capacities_.empty()) {
-      std::int64_t m = 0;
-      for (std::int64_t r : physical) m = std::max(m, r);
-      return m;
-    }
-    double m = 0;
-    for (size_t s = 0; s < physical.size(); ++s) {
-      m = std::max(m, static_cast<double>(physical[s]) / CapacityOf(s));
-    }
-    return static_cast<std::int64_t>(std::llround(m));
-  }
-
-  // Splits the victim's round load across the other live servers
-  // proportionally to capacity (largest shares to the fastest servers),
-  // deterministically: fractional remainders are handed out one tuple at a
-  // time in server order.
-  Rebalance PlanRebalance(int victim, double factor,
-                          const std::vector<std::int64_t>& physical) const {
+  // Splits the victim's round load evenly across the other live servers,
+  // deterministically: the remainder is handed out one tuple at a time in
+  // server order.
+  static Rebalance PlanRebalance(int victim, double factor,
+                                 const std::vector<std::int64_t>& physical) {
     Rebalance rb;
     rb.victim = victim;
     rb.factor = factor;
     rb.moved = physical[static_cast<size_t>(victim)];
-    const size_t n = physical.size();
-    double weight_sum = 0;
-    for (size_t s = 0; s < n; ++s) {
-      if (static_cast<int>(s) != victim) weight_sum += CapacityOf(s);
-    }
-    std::vector<std::int64_t> delta(n, 0);
-    std::int64_t assigned = 0;
-    for (size_t s = 0; s < n; ++s) {
+    const auto others = static_cast<std::int64_t>(physical.size()) - 1;
+    std::int64_t leftover = rb.moved % others;
+    for (size_t s = 0; s < physical.size(); ++s) {
       if (static_cast<int>(s) == victim) continue;
-      delta[s] = static_cast<std::int64_t>(static_cast<double>(rb.moved) *
-                                           (CapacityOf(s) / weight_sum));
-      assigned += delta[s];
+      const std::int64_t share = rb.moved / others + (leftover > 0 ? 1 : 0);
+      if (leftover > 0) --leftover;
+      rb.ship_max = std::max(rb.ship_max, share);
+      rb.effective = std::max(rb.effective, CheckedAdd(physical[s], share));
     }
-    std::int64_t leftover = rb.moved - assigned;
-    for (size_t s = 0; leftover > 0; s = (s + 1) % n) {
-      if (static_cast<int>(s) == victim) continue;
-      delta[s] += 1;
-      --leftover;
-    }
-    double eff = 0;
-    for (size_t s = 0; s < n; ++s) {
-      if (static_cast<int>(s) == victim) continue;
-      rb.ship_max = std::max(rb.ship_max, delta[s]);
-      eff = std::max(eff, static_cast<double>(
-                              CheckedAdd(physical[s], delta[s])) /
-                              CapacityOf(s));
-    }
-    rb.effective = static_cast<std::int64_t>(std::llround(eff));
     return rb;
+  }
+
+  // The one booking step every round goes through — charged, elided
+  // (resume), re-balance and checkpoint replication alike: the round takes
+  // the next slot in the monotone charged-round order, enters the ledger
+  // with critical-path contribution `time` unless it is elided, and is
+  // reported to the observer.
+  void BookRound(RoundRecord record, std::int64_t time) {
+    record.round = ++charged_rounds_;
+    if (record.resumed) {
+      stats_.resumed_rounds += 1;
+    } else {
+      stats_.rounds += 1;
+      stats_.max_load = std::max(stats_.max_load, record.max_load);
+      stats_.total_comm = CheckedAdd(stats_.total_comm, record.tuples);
+      if (record.recovery) {
+        stats_.recovery_comm = CheckedAdd(stats_.recovery_comm, record.tuples);
+      }
+      stats_.critical_path = CheckedAdd(stats_.critical_path, time);
+    }
+    if (observer_ != nullptr) observer_->OnRound(record);
+  }
+
+  // The one emitter for fault-log lines: appends `line` to the log, then
+  // reports it to the observer as a `kind` event at `round`, with the
+  // payload fields (server, factor, moved) of `event`.
+  void Emit(const char* kind, int round, std::string line,
+            EventRecord event = {}) {
+    fault_log_.push_back(std::move(line));
+    if (observer_ == nullptr) return;
+    event.kind = kind;
+    event.round = round;
+    event.detail = fault_log_.back();
+    observer_->OnEventRecord(event);
   }
 
   // Charges the re-balance shipping round directly (like checkpoint
@@ -430,34 +398,22 @@ class Cluster {
   // checkpoint). The traffic is recovery communication, itemized again in
   // rebalance_comm.
   void ChargeRebalanceRound(const Rebalance& rb) {
-    ++charged_rounds_;
-    stats_.rounds += 1;
     stats_.rebalances += 1;
-    stats_.max_load = std::max(stats_.max_load, rb.ship_max);
-    stats_.total_comm = CheckedAdd(stats_.total_comm, rb.moved);
-    stats_.recovery_comm = CheckedAdd(stats_.recovery_comm, rb.moved);
     stats_.rebalance_comm = CheckedAdd(stats_.rebalance_comm, rb.moved);
-    stats_.critical_path = CheckedAdd(stats_.critical_path, rb.ship_max);
-    fault_log_.push_back(
-        "rebalance at round " + std::to_string(charged_rounds_) +
-        ": shipped " + std::to_string(rb.moved) +
-        " tuple(s) off server " + std::to_string(rb.victim));
-    if (observer_ != nullptr) {
-      RoundRecord record;
-      record.round = charged_rounds_;
-      record.max_load = rb.ship_max;
-      record.tuples = rb.moved;
-      record.recovery = true;
-      observer_->OnRound(record);
-      EventRecord ev;
-      ev.kind = "rebalance";
-      ev.round = charged_rounds_;
-      ev.detail = fault_log_.back();
-      ev.server = rb.victim;
-      ev.factor = rb.factor;
-      ev.moved = rb.moved;
-      observer_->OnEventRecord(ev);
-    }
+    RoundRecord record;
+    record.max_load = rb.ship_max;
+    record.tuples = rb.moved;
+    record.recovery = true;
+    BookRound(record, rb.ship_max);
+    EventRecord payload;
+    payload.server = rb.victim;
+    payload.factor = rb.factor;
+    payload.moved = rb.moved;
+    Emit("rebalance", charged_rounds_,
+         "rebalance at round " + std::to_string(charged_rounds_) +
+             ": shipped " + std::to_string(rb.moved) +
+             " tuple(s) off server " + std::to_string(rb.victim),
+         payload);
   }
 
   std::vector<std::int64_t> FoldToPhysical(
@@ -472,12 +428,11 @@ class Cluster {
 
   // The single round-accounting core. `physical` has size live_.
   void ApplyRound(const std::vector<std::int64_t>& physical, bool recovery) {
-    ++charged_rounds_;
-    std::int64_t round_max = 0;
-    std::int64_t moved = 0;
+    RoundRecord record;
+    record.recovery = recovery;
     for (std::int64_t r : physical) {
-      round_max = std::max(round_max, r);
-      moved = CheckedAdd(moved, r);
+      record.max_load = std::max(record.max_load, r);
+      record.tuples = CheckedAdd(record.tuples, r);
     }
     if (!recovery && fast_forward_remaining_ > 0) {
       // Resume fast-forward: this round is re-covered by the restored
@@ -486,74 +441,55 @@ class Cluster {
       // skips the budget check and checkpoint accumulation (BeginAttempt).
       --fast_forward_remaining_;
       algo_rounds_done_ += 1;
-      stats_.resumed_rounds += 1;
-      if (observer_ != nullptr) {
-        RoundRecord record;
-        record.round = charged_rounds_;
-        record.max_load = round_max;
-        record.tuples = moved;
-        record.recovery = false;
-        record.resumed = true;
-        observer_->OnRound(record);
-      }
+      record.resumed = true;
+      BookRound(record, 0);
       return;
-    }
-    stats_.rounds += 1;
-    stats_.max_load = std::max(stats_.max_load, round_max);
-    stats_.total_comm = CheckedAdd(stats_.total_comm, moved);
-    if (recovery) {
-      stats_.recovery_comm = CheckedAdd(stats_.recovery_comm, moved);
     }
 
     // Straggler: the slowest due delay factor stretches this round's
     // contribution to the critical path. Recovery rounds never straggle.
     // With an armed straggle threshold, a due factor at or above it is
-    // re-balanced instead: the victim's pending round load ships to the
-    // other live servers (capacity-weighted) in a charged re-balance round
-    // below, and this round contributes the post-re-balance effective time
-    // rather than the stretched one.
-    double factor = 1.0;
+    // re-balanced instead: the victim's pending round load ships evenly to
+    // the other live servers in a charged re-balance round below, and this
+    // round contributes the post-re-balance effective time rather than the
+    // stretched one.
+    const int round = charged_rounds_ + 1;
     std::vector<Rebalance> rebalances;
     if (faults_enabled_ && !recovery) {
       for (FaultEvent& e : plan_.events()) {
         if (e.fired || e.kind != FaultKind::kStraggler) continue;
-        if (e.round > charged_rounds_) continue;
+        if (e.round > round) continue;
         e.fired = true;
-        e.fired_round = charged_rounds_;
+        e.fired_round = round;
         const int victim =
             e.server % static_cast<int>(physical.size());
         const bool active = straggle_threshold_ > 0 &&
                             e.factor >= straggle_threshold_ &&
                             physical.size() > 1;
-        fault_log_.push_back(
-            "straggler at round " + std::to_string(charged_rounds_) +
-            ": server " + std::to_string(e.server) + " delayed x" +
-            std::to_string(e.factor) + (active ? ", re-balancing" : ""));
-        if (observer_ != nullptr) {
-          EventRecord ev;
-          ev.kind = "straggler";
-          ev.round = charged_rounds_;
-          ev.detail = fault_log_.back();
-          ev.server = victim;
-          ev.factor = e.factor;
-          observer_->OnEventRecord(ev);
-        }
+        EventRecord payload;
+        payload.server = victim;
+        payload.factor = e.factor;
+        Emit("straggler", round,
+             "straggler at round " + std::to_string(round) + ": server " +
+                 std::to_string(e.server) + " delayed x" +
+                 std::to_string(e.factor) + (active ? ", re-balancing" : ""),
+             payload);
         if (active) {
           Rebalance rb = PlanRebalance(victim, e.factor, physical);
           // A victim with no received tuples has nothing to ship — and
           // nothing to straggle on: its delay stretches no charged work.
           if (rb.moved > 0) rebalances.push_back(std::move(rb));
         } else {
-          factor = std::max(factor, e.factor);
+          record.straggle_factor = std::max(record.straggle_factor, e.factor);
         }
       }
     }
     std::int64_t round_time = static_cast<std::int64_t>(std::llround(
-        static_cast<double>(EffectiveTime(physical)) * factor));
+        static_cast<double>(record.max_load) * record.straggle_factor));
     for (const Rebalance& rb : rebalances) {
       round_time = std::max(round_time, rb.effective);
     }
-    stats_.critical_path = CheckedAdd(stats_.critical_path, round_time);
+    BookRound(record, round_time);
 
     // Retransmission traffic from VerifyAndRepairMessages is already in
     // this round's physical counts; book it as recovery traffic here.
@@ -561,16 +497,6 @@ class Cluster {
       stats_.recovery_comm =
           CheckedAdd(stats_.recovery_comm, pending_retransmit_comm_);
       pending_retransmit_comm_ = 0;
-    }
-
-    if (observer_ != nullptr) {
-      RoundRecord record;
-      record.round = charged_rounds_;
-      record.max_load = round_max;
-      record.tuples = moved;
-      record.recovery = recovery;
-      record.straggle_factor = factor;
-      observer_->OnRound(record);
     }
 
     for (const Rebalance& rb : rebalances) {
@@ -589,17 +515,14 @@ class Cluster {
       }
     }
 
-    if (!recovery && load_budget_ > 0 && round_max > load_budget_) {
+    if (!recovery && load_budget_ > 0 && record.max_load > load_budget_) {
       RoundAbort abort;
       abort.reason = RoundAbort::Reason::kLoadBudget;
       abort.round = charged_rounds_;
-      abort.round_load = round_max;
+      abort.round_load = record.max_load;
       abort.budget = load_budget_;
-      fault_log_.push_back("budget abort: " + abort.ToString());
-      if (observer_ != nullptr) {
-        observer_->OnEvent("budget_abort", charged_rounds_,
-                           fault_log_.back());
-      }
+      Emit("budget_abort", charged_rounds_,
+           "budget abort: " + abort.ToString());
       throw abort;
     }
 
@@ -617,12 +540,10 @@ class Cluster {
         abort.reason = RoundAbort::Reason::kServerCrash;
         abort.round = charged_rounds_;
         abort.server = victim;
-        abort.round_load = round_max;
-        fault_log_.push_back("crash: " + abort.ToString() + ", " +
-                             std::to_string(live_) + " servers remain");
-        if (observer_ != nullptr) {
-          observer_->OnEvent("crash", charged_rounds_, fault_log_.back());
-        }
+        abort.round_load = record.max_load;
+        Emit("crash", charged_rounds_,
+             "crash: " + abort.ToString() + ", " + std::to_string(live_) +
+                 " servers remain");
         throw abort;
       }
     }
@@ -632,34 +553,22 @@ class Cluster {
   // ApplyRound: replication cannot itself straggle, crash, or re-trigger a
   // checkpoint).
   void ChargeCheckpointReplication() {
-    std::int64_t rep_max = 0;
-    std::int64_t rep_moved = 0;
+    RoundRecord record;
+    record.recovery = true;
     for (std::int64_t c : since_ckpt_) {
-      rep_max = std::max(rep_max, c);
-      rep_moved = CheckedAdd(rep_moved, c);
+      record.max_load = std::max(record.max_load, c);
+      record.tuples = CheckedAdd(record.tuples, c);
     }
-    ++charged_rounds_;
-    stats_.rounds += 1;
-    stats_.max_load = std::max(stats_.max_load, rep_max);
-    stats_.total_comm = CheckedAdd(stats_.total_comm, rep_moved);
-    stats_.recovery_comm = CheckedAdd(stats_.recovery_comm, rep_moved);
-    stats_.critical_path = CheckedAdd(stats_.critical_path, rep_max);
     std::fill(since_ckpt_.begin(), since_ckpt_.end(), 0);
     rounds_since_ckpt_ = 0;
     // Everything up to and including this round is now replicated: a
     // resumed re-execution may fast-forward over these rounds.
     ckpt_covered_rounds_ = algo_rounds_done_;
+    BookRound(record, record.max_load);
     if (observer_ != nullptr) {
-      RoundRecord record;
-      record.round = charged_rounds_;
-      record.max_load = rep_max;
-      record.tuples = rep_moved;
-      record.recovery = true;
-      observer_->OnRound(record);
-      observer_->OnEvent(
-          "checkpoint", charged_rounds_,
-          "interval checkpoint replication, " + std::to_string(rep_moved) +
-              " tuple(s)");
+      observer_->OnEvent("checkpoint", charged_rounds_,
+                         "interval checkpoint replication, " +
+                             std::to_string(record.tuples) + " tuple(s)");
     }
   }
 
@@ -674,7 +583,6 @@ class Cluster {
     since_ckpt_ = std::move(folded);
   }
 
-  int p_total_;
   int live_;
   Rng rng_;
   Stats stats_;
@@ -704,7 +612,6 @@ class Cluster {
   int fast_forward_remaining_ = 0;
 
   double straggle_threshold_ = 0;
-  std::vector<double> capacities_;
 
   RoundObserver* observer_ = nullptr;
 };

@@ -1,20 +1,22 @@
 // The unified execution runtime: dispatches a planner-chosen Algorithm
 // onto the library's entry points and reports predicted vs. measured load.
 //
-// PlanAndRun is the one-call entry point examples and benches use:
+// TryExecuteWithRecovery is the one execution entry point: it runs a
+// planned query and fills the plan's whole measured side. PlanAndRun is
+// the one-call wrapper examples and benches use:
 //   auto exec = plan::PlanAndRun(cluster, instance);
 //   exec.plan.ToText() / exec.plan.ToJson() / exec.result
 // The cluster's stats are phased: planning (the estimation rounds) and
 // execution (the chosen algorithm) are recorded separately in the plan;
 // after the call the cluster's live stats hold the execution phase only.
 //
-// Fault tolerance: with a non-default ExecutionOptions, execution runs
-// through ExecuteWithRecovery — inputs are checkpointed (charged), the
-// chosen algorithm runs under the configured fault plan / load budget, and
-// RoundAbort unwinds back here for replay from the checkpoint (crash) or
-// degradation onto the Yannakakis baseline (budget). The recovery trail is
-// reported in plan.recovery; all resilience traffic lands in
-// execution_stats.recovery_comm.
+// Fault tolerance: with a non-default ExecutionOptions, inputs are
+// checkpointed (charged), the chosen algorithm runs under the configured
+// fault plan / load budget, and RoundAbort unwinds back into the executor
+// for replay from the checkpoint (crash) or re-planning / degradation onto
+// the Yannakakis baseline (budget). The recovery trail is reported in
+// plan.recovery, its counters in plan.execution_stats; all resilience
+// traffic lands in execution_stats.recovery_comm.
 
 #ifndef PARJOIN_PLAN_EXECUTOR_H_
 #define PARJOIN_PLAN_EXECUTOR_H_
@@ -68,7 +70,7 @@ class ExecutionProfileSink {
   virtual void RecordExecution(const ExecutionRecord& record) = 0;
 };
 
-// Resilience knobs for ExecuteWithRecovery / PlanAndRun. All off by
+// Resilience knobs for TryExecuteWithRecovery / PlanAndRun. All off by
 // default: the default-constructed options run the fast path with zero
 // overhead (no checkpoints, no checksums, no budget).
 struct ExecutionOptions {
@@ -77,11 +79,8 @@ struct ExecutionOptions {
   // Abort any round whose load exceeds factor × predicted_load and degrade
   // onto the Yannakakis baseline. 0 = off.
   double load_budget_factor = 0;
-  int max_attempts = 8;  // dispatch attempts before giving up (CHECK)
-  // Simulated exponential backoff before each crash replay, in rounds:
-  // base, 2·base, ... capped at backoff_cap. Recorded, never slept.
-  std::int64_t backoff_base = 1;
-  std::int64_t backoff_cap = 16;
+  // Dispatch attempts before the executor gives up with ResourceExhausted.
+  int max_attempts = 8;
   // When set, every successful execution records a predicted-vs-measured
   // sample (strictly read-only: recording never changes outputs or
   // charged loads). Not owned.
@@ -103,6 +102,12 @@ struct ExecutionOptions {
   bool replan_on_budget_abort = false;
 };
 
+// Simulated exponential backoff before each crash replay, in rounds:
+// base, 2·base, ... capped. Recorded in RecoveryReport::backoff_total,
+// never slept.
+inline constexpr std::int64_t kReplayBackoffBase = 1;
+inline constexpr std::int64_t kReplayBackoffCap = 16;
+
 // One-line "chosen X: predicted N, measured M (ratio R)" summary of an
 // executed plan, for examples and bench logs.
 std::string PredictedVsMeasuredReport(const PhysicalPlan& plan);
@@ -111,8 +116,7 @@ std::string PredictedVsMeasuredReport(const PhysicalPlan& plan);
 // options' sink (no-op without one). The prediction is de-calibrated via
 // the executed candidate's calib_factor so the profile always stores
 // measured-vs-constant-1 ratios.
-inline void RecordProfiledExecution(const mpc::Cluster& cluster,
-                                    const PhysicalPlan& plan,
+inline void RecordProfiledExecution(const PhysicalPlan& plan,
                                     const ExecutionOptions& options,
                                     double wall_ms) {
   if (options.profile == nullptr) return;
@@ -127,7 +131,7 @@ inline void RecordProfiledExecution(const mpc::Cluster& cluster,
                              ? c->predicted_load / c->calib_factor
                              : c->predicted_load;
   }
-  rec.measured_load = cluster.stats().max_load;
+  rec.measured_load = plan.measured_load;
   rec.wall_ms = wall_ms;
   rec.attempts = plan.recovery.attempts;
   rec.degraded = plan.recovery.degraded_to_baseline;
@@ -228,68 +232,66 @@ struct PlanExecution {
   DistRelation<S> result;
 };
 
-// Runs plan->chosen under the resilience protocol and fills
-// plan->executed / plan->recovery. Expects the cluster's stats freshly
-// reset (charges land in the execution phase).
+// Runs plan->chosen under the resilience protocol and fills the plan's
+// measured side: executed, recovery, execution_stats and measured_load
+// always; on success also out_actual and the executed candidate's
+// measured_load. Expects the cluster's stats freshly reset (charges land in
+// the execution phase).
 //
-// Protocol: the distributed inputs are checkpointed (one charged
-// replication round per relation) and the cluster rng is snapshotted, so a
+// Protocol: with any resilience option set, the distributed inputs are
+// checkpointed (one charged replication round per relation) and the fault
+// plan and load budget are armed. The cluster rng is snapshotted, so a
 // replay re-draws exactly the hash seeds of the aborted attempt. Then the
-// algorithm is dispatched under the armed fault plan and load budget.
+// algorithm is dispatched.
 //  * RoundAbort{kServerCrash}: the cluster has already shrunk to p-1 live
 //    servers; simulated backoff is recorded, the rng is rewound, the
 //    inputs are restored from the checkpoint onto the survivors (charged),
 //    and the attempt repeats. Stats accumulate across attempts — recovery
 //    is not free and the ledger says so.
 //  * RoundAbort{kLoadBudget}: the planner's prediction was exceeded by the
-//    configured factor; the run degrades onto the Yannakakis baseline
-//    (which has no candidate-specific tuning to mispredict) and continues
-//    unbudgeted. Single-edge queries re-run their only algorithm instead.
+//    configured factor; the run re-plans (replan_on_budget_abort) or
+//    degrades onto the Yannakakis baseline (which has no
+//    candidate-specific tuning to mispredict) and continues unbudgeted.
+//    Single-edge queries re-run their only algorithm instead.
+// Without a resilience option nothing is checkpointed or armed, so no
+// round can abort and the algorithm is dispatched exactly once.
 //
 // Exhausting max_attempts is a reportable outcome, not a bug: a serving
 // process must survive one doomed query. The cluster's fault machinery is
-// disarmed, the recovery report is filled with the trail so far, and
-// ResourceExhausted is returned. (ExecuteWithRecovery below keeps the
-// CHECK-flavored contract for one-shot callers.)
+// disarmed, the measured side is filled with the trail so far, and
+// ResourceExhausted is returned.
 template <SemiringC S>
 StatusOr<DistRelation<S>> TryExecuteWithRecovery(
     mpc::Cluster& cluster, TreeInstance<S> instance,
     const ExecutionOptions& options, PhysicalPlan* plan) {
-  plan->executed = plan->chosen;
   const bool resilient = options.faults.enabled ||
                          options.checkpoint_interval > 0 ||
                          options.load_budget_factor > 0 ||
                          options.straggle_threshold > 0;
   Stopwatch exec_timer;
-  if (!resilient) {
-    DistRelation<S> result =
-        DispatchAlgorithm(cluster, plan->chosen, std::move(instance));
-    RecordProfiledExecution(cluster, *plan, options,
-                            exec_timer.ElapsedMillis());
-    return result;
-  }
-
-  cluster.SetCheckpointInterval(options.checkpoint_interval);
-  cluster.SetStraggleThreshold(options.straggle_threshold);
   const JoinTree query = instance.query;
   std::vector<Schema> schemas;
   std::vector<mpc::DistSnapshot<Tuple<S>>> snapshots;
-  schemas.reserve(instance.relations.size());
-  snapshots.reserve(instance.relations.size());
-  for (const auto& rel : instance.relations) {
-    schemas.push_back(rel.schema);
-    snapshots.push_back(mpc::CheckpointDist(cluster, rel.data));
+  if (resilient) {
+    cluster.SetCheckpointInterval(options.checkpoint_interval);
+    cluster.SetStraggleThreshold(options.straggle_threshold);
+    schemas.reserve(instance.relations.size());
+    snapshots.reserve(instance.relations.size());
+    for (const auto& rel : instance.relations) {
+      schemas.push_back(rel.schema);
+      snapshots.push_back(mpc::CheckpointDist(cluster, rel.data));
+    }
+    if (options.faults.enabled) cluster.EnableFaults(options.faults);
+    if (options.load_budget_factor > 0 && plan->predicted_load > 0) {
+      cluster.SetLoadBudget(static_cast<std::int64_t>(
+          std::llround(options.load_budget_factor * plan->predicted_load)));
+    }
   }
   const Rng rng_snapshot = cluster.rng();
-  if (options.faults.enabled) cluster.EnableFaults(options.faults);
-  if (options.load_budget_factor > 0 && plan->predicted_load > 0) {
-    cluster.SetLoadBudget(static_cast<std::int64_t>(
-        std::llround(options.load_budget_factor * plan->predicted_load)));
-  }
 
   RecoveryReport& report = plan->recovery;
   Algorithm algo = plan->chosen;
-  std::int64_t backoff = options.backoff_base;
+  std::int64_t backoff = kReplayBackoffBase;
   // How many rounds the next replay may fast-forward over (the latest
   // interval checkpoint's coverage, read at crash time). Round snapshots
   // are algorithm-specific, so a re-planned algorithm always restarts from
@@ -305,12 +307,10 @@ StatusOr<DistRelation<S>> TryExecuteWithRecovery(
     cluster.SetStraggleThreshold(0);
     cluster.DisableFaults();
     report.attempts = attempts;
-    report.crashes = cluster.stats().crashes;
-    report.resumes = cluster.stats().resumes;
-    report.resumed_rounds = cluster.stats().resumed_rounds;
-    report.rebalances = cluster.stats().rebalances;
     report.events = cluster.fault_log();
     plan->executed = algo;
+    plan->execution_stats = cluster.stats();
+    plan->measured_load = plan->execution_stats.max_load;
   };
   for (int attempt = 1;; ++attempt) {
     if (attempt > options.max_attempts) {
@@ -335,8 +335,11 @@ StatusOr<DistRelation<S>> TryExecuteWithRecovery(
         result = DispatchAlgorithm(cluster, algo, std::move(replay));
       }
       finish_report(attempt);
-      RecordProfiledExecution(cluster, *plan, options,
-                              exec_timer.ElapsedMillis());
+      plan->out_actual = result.TotalSize();
+      if (Candidate* c = plan->MutableCandidateFor(algo)) {
+        c->measured_load = plan->measured_load;
+      }
+      RecordProfiledExecution(*plan, options, exec_timer.ElapsedMillis());
       return result;
     } catch (const mpc::RoundAbort& abort) {
       resume_rounds = 0;
@@ -379,7 +382,7 @@ StatusOr<DistRelation<S>> TryExecuteWithRecovery(
         }
       } else {
         report.backoff_total += backoff;
-        backoff = std::min(options.backoff_cap, backoff * 2);
+        backoff = std::min(kReplayBackoffCap, backoff * 2);
         if (options.resume_from_checkpoint) {
           resume_rounds = cluster.checkpointed_rounds();
         }
@@ -394,27 +397,14 @@ StatusOr<DistRelation<S>> TryExecuteWithRecovery(
   }
 }
 
-// CHECK-flavored wrapper for one-shot callers (PlanAndRun, examples) whose
-// fault schedules are known to converge within max_attempts.
-template <SemiringC S>
-DistRelation<S> ExecuteWithRecovery(mpc::Cluster& cluster,
-                                    TreeInstance<S> instance,
-                                    const ExecutionOptions& options,
-                                    PhysicalPlan* plan) {
-  StatusOr<DistRelation<S>> result = TryExecuteWithRecovery(
-      cluster, std::move(instance), options, plan);
-  CHECK(result.ok()) << result.status();
-  return std::move(result).value();
-}
-
 // Plans the instance, runs the chosen algorithm under the resilience
-// options, and fills the plan's measured side (measured_load, out_actual,
-// planning/execution stats, recovery report, and the executed candidate's
-// measured_load).
+// options, and returns the plan with its measured side filled. CHECK-fails
+// when recovery exhausts its attempts: one-shot callers (examples, benches,
+// tests) use fault schedules known to converge within max_attempts.
 template <SemiringC S>
 PlanExecution<S> PlanAndRun(mpc::Cluster& cluster, TreeInstance<S> instance,
-                            const PlannerOptions& options,
-                            const ExecutionOptions& exec_options) {
+                            const PlannerOptions& options = {},
+                            const ExecutionOptions& exec_options = {}) {
   cluster.ResetStats();
   PlanExecution<S> exec;
   exec.plan = PlanQuery(cluster, instance, options);
@@ -429,22 +419,11 @@ PlanExecution<S> PlanAndRun(mpc::Cluster& cluster, TreeInstance<S> instance,
   }
 
   cluster.ResetStats();
-  exec.result = ExecuteWithRecovery(cluster, std::move(instance),
-                                    exec_options, &exec.plan);
-  exec.plan.execution_stats = cluster.stats();
-  exec.plan.measured_load = exec.plan.execution_stats.max_load;
-  exec.plan.out_actual = exec.result.TotalSize();
-  if (Candidate* c = exec.plan.MutableCandidateFor(exec.plan.executed)) {
-    c->measured_load = exec.plan.measured_load;
-  }
+  StatusOr<DistRelation<S>> result = TryExecuteWithRecovery(
+      cluster, std::move(instance), exec_options, &exec.plan);
+  CHECK(result.ok()) << result.status();
+  exec.result = std::move(result).value();
   return exec;
-}
-
-template <SemiringC S>
-PlanExecution<S> PlanAndRun(mpc::Cluster& cluster, TreeInstance<S> instance,
-                            const PlannerOptions& options = {}) {
-  return PlanAndRun(cluster, std::move(instance), options,
-                    ExecutionOptions{});
 }
 
 // Runs EVERY candidate on (copies of) the instance and fills each

@@ -74,11 +74,12 @@ struct Candidate {
   std::int64_t measured_load = -1;
 };
 
-// What the recovery loop did to get the result (plan/executor.h). Attempts
-// count dispatches of the algorithm: 1 means the first try succeeded.
+// What the recovery loop decided to get the result (plan/executor.h).
+// Attempts count dispatches of the algorithm: 1 means the first try
+// succeeded. What the cluster charged for it — crashes, resumes, resumed
+// rounds, re-balances — is in PhysicalPlan::execution_stats.
 struct RecoveryReport {
   int attempts = 1;
-  int crashes = 0;
   int budget_aborts = 0;
   // True when the load-budget guardrail abandoned the chosen algorithm and
   // the run finished on the Yannakakis baseline.
@@ -86,13 +87,7 @@ struct RecoveryReport {
   // Simulated backoff charged before replays (units of rounds; recorded,
   // never slept).
   std::int64_t backoff_total = 0;
-  // Fine-grained recovery: replays that resumed from an interval
-  // checkpoint, rounds those resumes fast-forwarded over, re-balance
-  // rounds charged against stragglers, and budget-abort re-plans.
-  int resumes = 0;
-  int resumed_rounds = 0;
-  int rebalances = 0;
-  int replans = 0;
+  int replans = 0;  // budget aborts answered by re-planning
   std::vector<std::string> events;  // cluster fault log, in firing order
 };
 
@@ -107,8 +102,8 @@ struct PhysicalPlan {
   // True when the candidates were scored through a calibration table.
   bool calibrated = false;
 
-  // Filled by the executor.
-  std::int64_t measured_load = -1;  // chosen algorithm's stats().max_load
+  // Filled by the executor (TryExecuteWithRecovery).
+  std::int64_t measured_load = -1;  // executed algorithm's stats().max_load
   std::int64_t out_actual = -1;     // result size
   mpc::Cluster::Stats planning_stats;   // cost of the estimation rounds
   mpc::Cluster::Stats execution_stats;  // cost of the chosen algorithm

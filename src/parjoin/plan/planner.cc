@@ -138,30 +138,29 @@ std::string PhysicalPlan::ToText() const {
     }
     os << "\n";
   }
-  if (executed != chosen || recovery.attempts > 1 ||
-      recovery.crashes > 0 || recovery.budget_aborts > 0 ||
-      execution_stats.retransmits > 0) {
+  const mpc::Cluster::Stats& xs = execution_stats;
+  if (executed != chosen || recovery.attempts > 1 || xs.crashes > 0 ||
+      recovery.budget_aborts > 0 || xs.retransmits > 0) {
     os << "recovery: executed " << AlgorithmName(executed) << " in "
-       << recovery.attempts << " attempt(s), " << recovery.crashes
+       << recovery.attempts << " attempt(s), " << xs.crashes
        << " crash(es), " << recovery.budget_aborts << " budget abort(s), "
-       << execution_stats.retransmits << " retransmit(s)";
+       << xs.retransmits << " retransmit(s)";
     if (recovery.degraded_to_baseline) os << ", degraded to baseline";
     if (recovery.backoff_total > 0) {
       os << ", backoff " << recovery.backoff_total << " round(s)";
     }
-    if (recovery.resumes > 0) {
-      os << ", resumed " << recovery.resumes << " time(s) over "
-         << recovery.resumed_rounds << " checkpointed round(s)";
+    if (xs.resumes > 0) {
+      os << ", resumed " << xs.resumes << " time(s) over "
+         << xs.resumed_rounds << " checkpointed round(s)";
     }
-    if (recovery.rebalances > 0) {
-      os << ", " << recovery.rebalances << " re-balance round(s) ("
-         << execution_stats.rebalance_comm << " tuple(s))";
+    if (xs.rebalances > 0) {
+      os << ", " << xs.rebalances << " re-balance round(s) ("
+         << xs.rebalance_comm << " tuple(s))";
     }
     if (recovery.replans > 0) os << ", " << recovery.replans << " re-plan(s)";
     os << "\n"
-       << "recovery comm: " << execution_stats.recovery_comm
-       << " tuple(s), critical path " << execution_stats.critical_path
-       << "\n";
+       << "recovery comm: " << xs.recovery_comm << " tuple(s), critical path "
+       << xs.critical_path << "\n";
     for (const std::string& e : recovery.events) {
       os << "  - " << e << "\n";
     }
@@ -203,19 +202,20 @@ std::string PhysicalPlan::ToJson() const {
   AppendStats("planning", planning_stats, os);
   os << ',';
   AppendStats("execution", execution_stats, os);
+  const mpc::Cluster::Stats& xs = execution_stats;
   os << ",\"recovery\":{\"attempts\":" << recovery.attempts
-     << ",\"crashes\":" << recovery.crashes
+     << ",\"crashes\":" << xs.crashes
      << ",\"budget_aborts\":" << recovery.budget_aborts
-     << ",\"retransmits\":" << execution_stats.retransmits
-     << ",\"recovery_comm\":" << execution_stats.recovery_comm
-     << ",\"critical_path\":" << execution_stats.critical_path
+     << ",\"retransmits\":" << xs.retransmits
+     << ",\"recovery_comm\":" << xs.recovery_comm
+     << ",\"critical_path\":" << xs.critical_path
      << ",\"degraded_to_baseline\":"
      << (recovery.degraded_to_baseline ? "true" : "false")
      << ",\"backoff_total\":" << recovery.backoff_total
-     << ",\"resumes\":" << recovery.resumes
-     << ",\"resumed_rounds\":" << recovery.resumed_rounds
-     << ",\"rebalances\":" << recovery.rebalances
-     << ",\"rebalance_comm\":" << execution_stats.rebalance_comm
+     << ",\"resumes\":" << xs.resumes
+     << ",\"resumed_rounds\":" << xs.resumed_rounds
+     << ",\"rebalances\":" << xs.rebalances
+     << ",\"rebalance_comm\":" << xs.rebalance_comm
      << ",\"replans\":" << recovery.replans << ",\"events\":[";
   for (size_t i = 0; i < recovery.events.size(); ++i) {
     if (i > 0) os << ',';

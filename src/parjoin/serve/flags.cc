@@ -1,7 +1,11 @@
 #include "parjoin/serve/flags.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <utility>
+
+#include "parjoin/plan/executor.h"
 
 namespace parjoin {
 namespace serve {
@@ -69,6 +73,9 @@ StatusOr<double> ParseDoubleText(const std::string& text) {
   if (errno == ERANGE) {
     return InvalidArgumentError("'" + text + "' is out of double range");
   }
+  if (!std::isfinite(value)) {
+    return InvalidArgumentError("'" + text + "' is not a finite number");
+  }
   return value;
 }
 
@@ -105,6 +112,65 @@ StatusOr<std::uint64_t> ParseUint64Flag(const std::string& flag,
 StatusOr<double> ParseDoubleFlag(const std::string& flag,
                                  const std::string& value) {
   return Contextualize(flag, ParseDoubleText(value), "a number");
+}
+
+StatusOr<bool> ParseSharedFlag(const std::string& arg,
+                               plan::ExecutionOptions* exec, ObsFlags* obs) {
+  if (arg == "--resume") {
+    exec->resume_from_checkpoint = true;
+    return true;
+  }
+  if (arg == "--replan") {
+    exec->replan_on_budget_abort = true;
+    return true;
+  }
+  std::string value;
+  if (MatchFlag(arg, "faults", &value)) {
+    StatusOr<std::uint64_t> seed = ParseUint64Flag("faults", value);
+    if (!seed.ok()) return InvalidArgumentError(seed.status().ToString());
+    exec->faults.enabled = true;
+    exec->faults.seed = *seed;
+    if (exec->checkpoint_interval == 0) exec->checkpoint_interval = 2;
+    return true;
+  }
+  if (MatchFlag(arg, "checkpoint-interval", &value)) {
+    StatusOr<std::int64_t> interval =
+        ParseInt64Flag("checkpoint-interval", value);
+    if (!interval.ok() || *interval < 0 || *interval > 1000000) {
+      return InvalidArgumentError(
+          "--checkpoint-interval needs an integer in [0, 1000000], got '" +
+          value + "'");
+    }
+    exec->checkpoint_interval = static_cast<int>(*interval);
+    return true;
+  }
+  const std::pair<const char*, double*> positive[] = {
+      {"straggle-threshold", &exec->straggle_threshold},
+      {"load-budget-factor", &exec->load_budget_factor}};
+  for (const auto& [name, field] : positive) {
+    if (!MatchFlag(arg, name, &value)) continue;
+    StatusOr<double> parsed = ParseDoubleFlag(name, value);
+    if (!parsed.ok() || *parsed <= 0) {
+      return InvalidArgumentError(std::string("--") + name +
+                                  " needs a number > 0, got '" + value + "'");
+    }
+    *field = *parsed;
+    return true;
+  }
+  const std::pair<const char*, std::string*> paths[] = {
+      {"trace-out", &obs->trace_out},
+      {"profile", &obs->profile},
+      {"calibration", &obs->calibration}};
+  for (const auto& [name, field] : paths) {
+    if (!MatchFlag(arg, name, &value)) continue;
+    if (value.empty()) {
+      return InvalidArgumentError(std::string("--") + name +
+                                  " needs a file path");
+    }
+    *field = value;
+    return true;
+  }
+  return false;
 }
 
 }  // namespace serve

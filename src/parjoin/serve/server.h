@@ -30,10 +30,11 @@
 // singleton batch). Batches execute sequentially on the simulator;
 // latency is wall-clock from Drain() start to each query's completion.
 //
-// Isolation: execution goes through plan::TryExecuteWithRecovery, so a
-// query that exhausts its recovery attempts (or fails validation) yields
-// an error Outcome — and its possibly crash-shrunken cluster is simply
-// discarded — while the server keeps serving.
+// Isolation: execution goes through plan::TryExecuteWithRecovery, which
+// also fills the plan's measured side, so a query that exhausts its
+// recovery attempts (or fails validation) yields an error Outcome — and
+// its possibly crash-shrunken cluster is simply discarded — while the
+// server keeps serving.
 
 #ifndef PARJOIN_SERVE_SERVER_H_
 #define PARJOIN_SERVE_SERVER_H_
@@ -132,28 +133,19 @@ class Server {
 
   // --- registration ---------------------------------------------------------
 
+  // Loads the CSV and registers it as below; a duplicate name is rejected
+  // before the file is read.
   Status RegisterRelation(const std::string& name, const std::string& path) {
-    if (registry_.find(name) != registry_.end()) {
-      return FailedPreconditionError("relation '" + name +
-                                     "' already registered");
-    }
+    if (HasRelation(name)) return AlreadyRegisteredError(name);
     PARJOIN_ASSIGN_OR_RETURN(Relation<S> rel,
                              LoadRelationCsv<S>(path, Schema{0, 1}));
-    Registered reg;
-    reg.data = mpc::ScatterEvenly(std::move(rel.tuples()), options_.p);
-    reg.sketch = SketchRelation(
-        DistRelation<S>{Schema{0, 1}, reg.data});
-    registry_.emplace(name, std::move(reg));
-    return OkStatus();
+    return RegisterRelation(name, std::move(rel));
   }
 
   // In-memory registration (bench/test path): same registration work —
   // Distribute + sketches — without the CSV round-trip.
   Status RegisterRelation(const std::string& name, Relation<S> rel) {
-    if (registry_.find(name) != registry_.end()) {
-      return FailedPreconditionError("relation '" + name +
-                                     "' already registered");
-    }
+    if (HasRelation(name)) return AlreadyRegisteredError(name);
     if (rel.schema().size() != 2) {
       return InvalidArgumentError("relation '" + name + "' is not binary");
     }
@@ -308,6 +300,11 @@ class Server {
     std::optional<plan::PhysicalPlan> plan;
   };
 
+  static Status AlreadyRegisteredError(const std::string& name) {
+    return FailedPreconditionError("relation '" + name +
+                                   "' already registered");
+  }
+
   std::uint64_t PlanSeed(std::uint64_t signature) const {
     return HashCombine(options_.seed, HashCombine(0x70a11ed5ULL, signature));
   }
@@ -439,49 +436,46 @@ class Server {
     }
     StatusOr<DistRelation<S>> result = plan::TryExecuteWithRecovery(
         cluster, std::move(*adm.instance), adm.exec, &out.plan);
-    out.plan.execution_stats = cluster.stats();
-    out.plan.measured_load = out.plan.execution_stats.max_load;
-    if (out.plan.recovery.crashes > 0) {
-      registry_metrics_.GetCounter("recovery_crashes")
-          ->Increment(out.plan.recovery.crashes);
+    const mpc::Cluster::Stats& xs = out.plan.execution_stats;
+    const plan::RecoveryReport& rec = out.plan.recovery;
+    if (xs.crashes > 0) {
+      registry_metrics_.GetCounter("recovery_crashes")->Increment(xs.crashes);
     }
-    if (out.plan.recovery.attempts > 1) {
+    if (rec.attempts > 1) {
       registry_metrics_.GetCounter("recovery_replays")
-          ->Increment(out.plan.recovery.attempts - 1);
+          ->Increment(rec.attempts - 1);
     }
-    if (out.plan.recovery.degraded_to_baseline) {
+    if (rec.degraded_to_baseline) {
       registry_metrics_.GetCounter("recovery_degraded")->Increment();
     }
     // Fine-grained recovery ledger, exported per query so --metrics-out
     // carries the full recovery trail (resume/re-balance/re-plan counters
     // plus the charged recovery traffic behind them).
-    if (out.plan.recovery.resumes > 0) {
-      registry_metrics_.GetCounter("recovery_resumes")
-          ->Increment(out.plan.recovery.resumes);
+    if (xs.resumes > 0) {
+      registry_metrics_.GetCounter("recovery_resumes")->Increment(xs.resumes);
       registry_metrics_.GetCounter("recovery_resumed_rounds")
-          ->Increment(out.plan.recovery.resumed_rounds);
+          ->Increment(xs.resumed_rounds);
     }
-    if (out.plan.recovery.rebalances > 0) {
+    if (xs.rebalances > 0) {
       registry_metrics_.GetCounter("recovery_rebalances")
-          ->Increment(out.plan.recovery.rebalances);
+          ->Increment(xs.rebalances);
       registry_metrics_.GetCounter("recovery_rebalance_comm")
-          ->Increment(out.plan.execution_stats.rebalance_comm);
+          ->Increment(xs.rebalance_comm);
     }
-    if (out.plan.recovery.replans > 0) {
-      registry_metrics_.GetCounter("recovery_replans")
-          ->Increment(out.plan.recovery.replans);
+    if (rec.replans > 0) {
+      registry_metrics_.GetCounter("recovery_replans")->Increment(rec.replans);
     }
-    if (out.plan.execution_stats.recovery_comm > 0) {
+    if (xs.recovery_comm > 0) {
       registry_metrics_.GetCounter("recovery_comm")
-          ->Increment(out.plan.execution_stats.recovery_comm);
+          ->Increment(xs.recovery_comm);
     }
-    if (out.plan.execution_stats.retransmits > 0) {
+    if (xs.retransmits > 0) {
       registry_metrics_.GetCounter("recovery_retransmits")
-          ->Increment(out.plan.execution_stats.retransmits);
+          ->Increment(xs.retransmits);
     }
-    if (out.plan.execution_stats.critical_path > 0) {
+    if (xs.critical_path > 0) {
       registry_metrics_.GetCounter("critical_path_total")
-          ->Increment(out.plan.execution_stats.critical_path);
+          ->Increment(xs.critical_path);
     }
     if (!result.ok()) {
       // The cluster (possibly crash-shrunken) dies with this scope; the
@@ -489,11 +483,6 @@ class Server {
       out.status = result.status();
       metrics_.failed += 1;
       return out;
-    }
-    out.plan.out_actual = result->TotalSize();
-    if (plan::Candidate* c =
-            out.plan.MutableCandidateFor(out.plan.executed)) {
-      c->measured_load = out.plan.measured_load;
     }
     out.result = result->ToLocal();
     out.result.Normalize();

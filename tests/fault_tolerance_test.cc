@@ -9,6 +9,7 @@
 // being silently free.
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -152,9 +153,9 @@ void ExpectRecoversIdentically(const MakeInstance& make_instance,
 
   const auto& stats = exec.plan.execution_stats;
   const auto& recovery = exec.plan.recovery;
-  EXPECT_GE(recovery.crashes, 1) << what;
+  EXPECT_GE(stats.crashes, 1) << what;
   EXPECT_GE(recovery.attempts, 2) << what;
-  EXPECT_EQ(cluster.p(), p - recovery.crashes) << what;
+  EXPECT_EQ(cluster.p(), p - stats.crashes) << what;
   EXPECT_GE(stats.retransmits, 1) << what;
   EXPECT_GT(stats.recovery_comm, 0) << what;
   EXPECT_GE(stats.critical_path, stats.max_load) << what;
@@ -402,7 +403,7 @@ TEST(FaultRecoveryTest, SingleServerPlanAndRunCompletesWithFaultsArmed) {
   EXPECT_TRUE(got == expected)
       << "got " << got.size() << " expected " << expected.size();
   EXPECT_EQ(cluster.p(), 1);
-  EXPECT_EQ(exec.plan.recovery.crashes, 0);
+  EXPECT_EQ(exec.plan.execution_stats.crashes, 0);
   EXPECT_EQ(exec.plan.recovery.attempts, 1);
 }
 
@@ -423,15 +424,16 @@ TEST(LoadBudgetTest, ExceededBudgetDegradesOntoYannakakis) {
   plan::ExecutionOptions options;
   options.load_budget_factor = 1.0;
   cluster.ResetStats();
-  Relation<S> got =
-      plan::ExecuteWithRecovery(cluster, std::move(instance), options, &plan)
-          .ToLocal();
+  auto result = plan::TryExecuteWithRecovery(cluster, std::move(instance),
+                                             options, &plan);
+  ASSERT_TRUE(result.ok()) << result.status();
+  Relation<S> got = result->ToLocal();
   got.Normalize();
 
   EXPECT_TRUE(plan.recovery.degraded_to_baseline) << plan.ToText();
   EXPECT_EQ(plan.recovery.budget_aborts, 1);
   EXPECT_EQ(plan.executed, plan::Algorithm::kYannakakis);
-  EXPECT_EQ(plan.recovery.crashes, 0);
+  EXPECT_EQ(plan.execution_stats.crashes, 0);
   EXPECT_TRUE(got == expected)
       << "got " << got.size() << " expected " << expected.size();
 }
@@ -552,11 +554,11 @@ void ExpectResumeSavesReplayedRounds(const MakeInstance& make_instance,
   const auto [replay_out, replay_plan] = faulted(/*resume=*/false);
   const auto [resume_out, resume_plan] = faulted(/*resume=*/true);
 
-  ASSERT_EQ(replay_plan.recovery.crashes, 1) << what;
-  ASSERT_EQ(resume_plan.recovery.crashes, 1) << what;
-  EXPECT_EQ(replay_plan.recovery.resumes, 0) << what;
-  EXPECT_EQ(resume_plan.recovery.resumes, 1) << what;
-  EXPECT_GE(resume_plan.recovery.resumed_rounds, 2) << what;
+  ASSERT_EQ(replay_plan.execution_stats.crashes, 1) << what;
+  ASSERT_EQ(resume_plan.execution_stats.crashes, 1) << what;
+  EXPECT_EQ(replay_plan.execution_stats.resumes, 0) << what;
+  EXPECT_EQ(resume_plan.execution_stats.resumes, 1) << what;
+  EXPECT_GE(resume_plan.execution_stats.resumed_rounds, 2) << what;
 
   EXPECT_TRUE(resume_out == baseline)
       << what << ": resumed output diverged from fault-free baseline\n"
@@ -660,10 +662,10 @@ TEST(ResumeRecoveryTest, CrashDuringResumedRunResumesAgain) {
   got.Normalize();
 
   EXPECT_TRUE(got == baseline) << exec.plan.ToText();
-  EXPECT_EQ(exec.plan.recovery.crashes, 2);
+  EXPECT_EQ(exec.plan.execution_stats.crashes, 2);
   EXPECT_EQ(exec.plan.recovery.attempts, 3);
-  EXPECT_EQ(exec.plan.recovery.resumes, 2);
-  EXPECT_GE(exec.plan.recovery.resumed_rounds, 4);
+  EXPECT_EQ(exec.plan.execution_stats.resumes, 2);
+  EXPECT_GE(exec.plan.execution_stats.resumed_rounds, 4);
   EXPECT_EQ(cluster.p(), 6);
 }
 
@@ -704,6 +706,46 @@ TEST(StragglerRebalanceTest, ThresholdShipsLoadAndBoundsCriticalPath) {
     if (e.find("rebalance") != std::string::npos) logged = true;
   }
   EXPECT_TRUE(logged);
+}
+
+TEST(StragglerRebalanceTest, UnequalLoadsSplitRemainderInServerOrder) {
+  mpc::FaultConfig config;
+  config.crashes = 0;
+  config.corruptions = 0;
+  config.stragglers = 1;
+  config.straggle_min = 6.0;
+  config.straggle_max = 6.0;
+  config.horizon = 1;
+  mpc::Cluster cluster(4);
+  cluster.EnableFaults(config);
+  cluster.SetStraggleThreshold(4.0);
+  const std::vector<std::int64_t> loads = {4, 5, 8, 10};
+  cluster.ChargeRound(loads);
+
+  // The schedule picks the victim; the log names it.
+  ASSERT_EQ(cluster.fault_log().size(), 2u);
+  int victim = -1;
+  ASSERT_EQ(std::sscanf(cluster.fault_log()[0].c_str(),
+                        "straggler at round 1: server %d", &victim),
+            1)
+      << cluster.fault_log()[0];
+  ASSERT_GE(victim, 0);
+  ASSERT_LT(victim, 4);
+  // No load divides evenly by the three survivors, and the remainder goes
+  // one tuple each to the lowest-numbered survivors. The straggled round
+  // costs max(load + share) over the survivors, the re-balance round its
+  // largest share:
+  //   victim 0 ships 4 = 2+1+1:  max(5+2, 8+1, 10+1) = 11, plus 2
+  //   victim 1 ships 5 = 2+2+1:  max(4+2, 8+2, 10+1) = 11, plus 2
+  //   victim 2 ships 8 = 3+3+2:  max(4+3, 5+3, 10+2) = 12, plus 3
+  //   victim 3 ships 10 = 4+3+3: max(4+4, 5+3, 8+3)  = 11, plus 4
+  // Handing the remainder to the highest-numbered survivors instead would
+  // change every one of these sums.
+  const std::int64_t critical_path[] = {11 + 2, 11 + 2, 12 + 3, 11 + 4};
+  EXPECT_EQ(cluster.stats().critical_path, critical_path[victim]);
+  EXPECT_EQ(cluster.stats().max_load, 10);
+  EXPECT_EQ(cluster.stats().rebalance_comm, loads[victim]);
+  EXPECT_EQ(cluster.stats().rounds, 2);
 }
 
 TEST(StragglerRebalanceTest, BelowThresholdStaysPassive) {
@@ -756,8 +798,8 @@ TEST(StragglerRebalanceTest, EndToEndRebalancePreservesOutput) {
   const auto [passive_out, passive_plan] = faulted(/*threshold=*/0);
   const auto [active_out, active_plan] = faulted(/*threshold=*/4.0);
 
-  EXPECT_EQ(passive_plan.recovery.rebalances, 0);
-  EXPECT_GE(active_plan.recovery.rebalances, 1);
+  EXPECT_EQ(passive_plan.execution_stats.rebalances, 0);
+  EXPECT_GE(active_plan.execution_stats.rebalances, 1);
   EXPECT_GT(active_plan.execution_stats.rebalance_comm, 0);
   // Re-balancing only redistributes accounting, never data: both faulted
   // runs must still match the fault-free baseline bit-for-bit.
@@ -789,9 +831,10 @@ TEST(ReplanTest, BudgetAbortReplansInsteadOfDegrading) {
   options.load_budget_factor = 4.0;
   options.replan_on_budget_abort = true;
   cluster.ResetStats();
-  Relation<S> got =
-      plan::ExecuteWithRecovery(cluster, std::move(instance), options, &plan)
-          .ToLocal();
+  auto result = plan::TryExecuteWithRecovery(cluster, std::move(instance),
+                                             options, &plan);
+  ASSERT_TRUE(result.ok()) << result.status();
+  Relation<S> got = result->ToLocal();
   got.Normalize();
 
   EXPECT_GE(plan.recovery.replans, 1) << plan.ToText();
@@ -815,7 +858,9 @@ TEST(ReplanTest, ReplanOffKeepsTheDegradePath) {
   plan::ExecutionOptions options;
   options.load_budget_factor = 1.0;
   cluster.ResetStats();
-  plan::ExecuteWithRecovery(cluster, std::move(instance), options, &plan);
+  auto result = plan::TryExecuteWithRecovery(cluster, std::move(instance),
+                                             options, &plan);
+  ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(plan.recovery.degraded_to_baseline);
   EXPECT_EQ(plan.recovery.replans, 0);
   EXPECT_EQ(plan.executed, plan::Algorithm::kYannakakis);

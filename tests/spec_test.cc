@@ -6,9 +6,11 @@
 // pre-fix flag parsing turned `--faults=abc` into 0.
 
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "parjoin/plan/executor.h"
 #include "parjoin/serve/flags.h"
 #include "parjoin/serve/spec.h"
 
@@ -316,6 +318,10 @@ TEST(FlagsParse, DoubleRejectsGarbageAndOverflow) {
   EXPECT_FALSE(ParseDoubleText("1.5x").ok());
   EXPECT_FALSE(ParseDoubleText("").ok());
   EXPECT_FALSE(ParseDoubleText("1e999").ok());  // ERANGE
+  // strtod parses these, and a NaN slips past every `<= 0` range check.
+  EXPECT_FALSE(ParseDoubleText("nan").ok());
+  EXPECT_FALSE(ParseDoubleText("inf").ok());
+  EXPECT_FALSE(ParseDoubleText("-inf").ok());
 }
 
 TEST(FlagsParse, MatchFlagSplitsNameAndValue) {
@@ -340,6 +346,73 @@ TEST(FlagsParse, FlagWrappersNameTheFlagInErrors) {
   ASSERT_FALSE(bad_double.ok());
   EXPECT_NE(bad_double.status().message().find("--load-budget-factor"),
             std::string::npos);
+}
+
+TEST(FlagsParse, SharedFlagsFillOptionsInArgumentOrder) {
+  plan::ExecutionOptions exec;
+  ObsFlags obs;
+  for (const char* arg :
+       {"--faults=7", "--resume", "--replan", "--straggle-threshold=2.5",
+        "--load-budget-factor=1", "--trace-out=t.jsonl", "--profile=p.json",
+        "--calibration=c.json"}) {
+    auto consumed = ParseSharedFlag(arg, &exec, &obs);
+    ASSERT_TRUE(consumed.ok()) << arg << ": " << consumed.status();
+    EXPECT_TRUE(*consumed) << arg;
+  }
+  EXPECT_TRUE(exec.faults.enabled);
+  EXPECT_EQ(exec.faults.seed, 7u);
+  EXPECT_EQ(exec.checkpoint_interval, 2);  // --faults defaults it to 2
+  EXPECT_TRUE(exec.resume_from_checkpoint);
+  EXPECT_TRUE(exec.replan_on_budget_abort);
+  EXPECT_DOUBLE_EQ(exec.straggle_threshold, 2.5);
+  EXPECT_DOUBLE_EQ(exec.load_budget_factor, 1.0);
+  EXPECT_EQ(obs.trace_out, "t.jsonl");
+  EXPECT_EQ(obs.profile, "p.json");
+  EXPECT_EQ(obs.calibration, "c.json");
+
+  // An explicit interval after --faults wins; before it, --faults keeps it.
+  ASSERT_TRUE(ParseSharedFlag("--checkpoint-interval=0", &exec, &obs).ok());
+  EXPECT_EQ(exec.checkpoint_interval, 0);
+  plan::ExecutionOptions ordered;
+  ASSERT_TRUE(
+      ParseSharedFlag("--checkpoint-interval=5", &ordered, &obs).ok());
+  ASSERT_TRUE(ParseSharedFlag("--faults=1", &ordered, &obs).ok());
+  EXPECT_EQ(ordered.checkpoint_interval, 5);
+
+  // Each binary's own flags pass through unconsumed.
+  for (const char* arg : {"--json", "--demo=x", "--load-budget=5",
+                          "--metrics-out=m.json", "--resume=1", "spec"}) {
+    auto consumed = ParseSharedFlag(arg, &exec, &obs);
+    ASSERT_TRUE(consumed.ok()) << arg;
+    EXPECT_FALSE(*consumed) << arg;
+  }
+}
+
+TEST(FlagsParse, SharedFlagErrorsKeepTheirText) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--faults=abc",
+       "INVALID_ARGUMENT: --faults needs an unsigned integer: 'abc' is not "
+       "an unsigned integer"},
+      {"--checkpoint-interval=-3",
+       "--checkpoint-interval needs an integer in [0, 1000000], got '-3'"},
+      {"--straggle-threshold=0",
+       "--straggle-threshold needs a number > 0, got '0'"},
+      {"--straggle-threshold=nan",
+       "--straggle-threshold needs a number > 0, got 'nan'"},
+      {"--load-budget-factor=inf",
+       "--load-budget-factor needs a number > 0, got 'inf'"},
+      {"--trace-out=", "--trace-out needs a file path"},
+      {"--profile=", "--profile needs a file path"},
+      {"--calibration=", "--calibration needs a file path"},
+  };
+  for (const auto& [arg, message] : cases) {
+    plan::ExecutionOptions exec;
+    ObsFlags obs;
+    auto consumed = ParseSharedFlag(arg, &exec, &obs);
+    ASSERT_FALSE(consumed.ok()) << arg;
+    EXPECT_EQ(consumed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(consumed.status().message(), message);
+  }
 }
 
 }  // namespace
