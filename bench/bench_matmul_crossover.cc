@@ -55,11 +55,9 @@ int main() {
     bench::RunResult wc = run(MatMulStrategy::kWorstCase);
     bench::RunResult os = run(MatMulStrategy::kOutputSensitive);
     bench::RunResult autod = run(MatMulStrategy::kAuto);
-    const double bound_wc = std::sqrt(
-        static_cast<double>(cfg.n1()) * static_cast<double>(cfg.n2()) / p);
+    const double bound_wc = plan::MatMulWorstCaseTerm(cfg.n1(), cfg.n2(), p);
     const double bound_os =
-        std::cbrt(static_cast<double>(cfg.n1()) * cfg.n2() * cfg.out()) /
-        std::pow(static_cast<double>(p), 2.0 / 3.0);
+        plan::MatMulOutputSensitiveTerm(cfg.n1(), cfg.n2(), cfg.out(), p);
     table.AddRow({Fmt(cfg.out()), Fmt(wc.load), Fmt(os.load),
                   Fmt(autod.load),
                   bound_wc <= bound_os ? "worst-case" : "output-sensitive",

@@ -43,10 +43,9 @@ namespace parjoin {
 // one-round join itself).
 template <SemiringC S>
 DistRelation<S> HyperCubeJoinAggregate(mpc::Cluster& cluster,
-                                       TreeInstance<S> instance,
-                                       bool remove_dangling = true) {
+                                       TreeInstance<S> instance) {
   instance.Validate();
-  if (remove_dangling) RemoveDangling(cluster, &instance);
+  RemoveDangling(cluster, &instance);
   const JoinTree& q = instance.query;
   const std::vector<AttrId>& attrs = q.attrs();
   const int m = static_cast<int>(attrs.size());
@@ -164,11 +163,7 @@ DistRelation<S> HyperCubeJoinAggregate(mpc::Cluster& cluster,
   // groups split across cells by non-output attribute coordinates.
   DistRelation<S> out;
   out.schema = Schema(outputs);
-  out.data = mpc::ReduceByKey(
-      cluster, std::move(partials),
-      [](const Tuple<S>& t) -> const Row& { return t.row; },
-      [](Tuple<S>* acc, const Tuple<S>& t) { acc->w = S::Plus(acc->w, t.w); },
-      p);
+  out.data = ReduceByRow(cluster, std::move(partials));
   return out;
 }
 

@@ -35,35 +35,6 @@ namespace parjoin {
 
 namespace internal_line {
 
-// Concatenates two result sets over the same schema (no communication —
-// results stay where they were produced) and reduce-by-keys them into p
-// parts (the §4 Step 4 aggregation; charged).
-template <SemiringC S>
-DistRelation<S> CombineResults(mpc::Cluster& cluster, DistRelation<S> a,
-                               DistRelation<S> b) {
-  if (a.TotalSize() == 0) return b;
-  if (b.TotalSize() == 0) return a;
-  CHECK(a.schema == b.schema);
-  mpc::Dist<Tuple<S>> merged(a.data.num_parts() + b.data.num_parts());
-  for (int s = 0; s < a.data.num_parts(); ++s) {
-    merged.part(s) = std::move(a.data.part(s));
-  }
-  for (int s = 0; s < b.data.num_parts(); ++s) {
-    // Part relabeling by a constant offset: every tuple stays on the
-    // server that produced it, so no exchange (and no charge) is due.
-    // parjoin-lint: allow(cross-part-write): relabeling, no boundary cross
-    merged.part(a.data.num_parts() + s) = std::move(b.data.part(s));
-  }
-  DistRelation<S> out;
-  out.schema = a.schema;
-  out.data = mpc::ReduceByKey(
-      cluster, std::move(merged),
-      [](const Tuple<S>& t) -> const Row& { return t.row; },
-      [](Tuple<S>* acc, const Tuple<S>& t) { acc->w = S::Plus(acc->w, t.w); },
-      cluster.p());
-  return out;
-}
-
 // Core recursion. `rels[i]` must contain attributes path[i], path[i+1];
 // dangling tuples must have been removed. Output schema (path[0],
 // path.back()).
@@ -98,21 +69,16 @@ DistRelation<S> LineQueryRec(mpc::Cluster& cluster,
   const std::unordered_map<Value, std::int64_t> heavy_a2 =
       CollectStatsAtLeast(cluster, deg_a2, heavy_threshold);
 
-  auto split = [&](const DistRelation<S>& rel, int pos) {
-    std::pair<DistRelation<S>, DistRelation<S>> hl;  // (heavy, light)
-    hl.first.schema = hl.second.schema = rel.schema;
-    hl.first.data = mpc::Dist<Tuple<S>>(rel.data.num_parts());
-    hl.second.data = mpc::Dist<Tuple<S>>(rel.data.num_parts());
-    for (int s = 0; s < rel.data.num_parts(); ++s) {
-      for (const auto& t : rel.data.part(s)) {
-        const bool heavy = heavy_a2.count(t.row[pos]) > 0;
-        (heavy ? hl.first : hl.second).data.part(s).push_back(t);
-      }
-    }
-    return hl;
+  // Split R1 and R2 locally (free): class 0 heavy, class 1 light.
+  auto heavy_or_light = [&](Value a2) {
+    return heavy_a2.count(a2) > 0 ? 0 : 1;
   };
-  auto [r1_heavy, r1_light] = split(rels[0], a2_pos0);
-  auto [r2_heavy, r2_light] = split(rels[1], a2_pos1);
+  auto r1_split = SplitByAttr(std::move(rels[0]), a2_pos0, 2, heavy_or_light);
+  auto r2_split = SplitByAttr(std::move(rels[1]), a2_pos1, 2, heavy_or_light);
+  DistRelation<S>& r1_heavy = r1_split[0];
+  DistRelation<S>& r1_light = r1_split[1];
+  DistRelation<S>& r2_heavy = r2_split[0];
+  DistRelation<S>& r2_light = r2_split[1];
 
   // Step 2: Q_heavy — fold right-to-left, then one matrix multiplication.
   DistRelation<S> heavy_result;
@@ -167,9 +133,15 @@ DistRelation<S> LineQueryRec(mpc::Cluster& cluster,
         LineQueryRec(cluster, std::move(rest), std::move(rest_path));
   }
 
-  // Step 4: the two subqueries may share (A1, A_{n+1}) groups.
-  return CombineResults(cluster, std::move(heavy_result),
-                        std::move(light_result));
+  // Step 4: the two subqueries may share (A1, A_{n+1}) groups. An empty
+  // side leaves nothing to combine, so its reduce is skipped.
+  if (heavy_result.TotalSize() == 0) return light_result;
+  if (light_result.TotalSize() == 0) return heavy_result;
+  const Schema schema = heavy_result.schema;
+  std::vector<DistRelation<S>> both;
+  both.push_back(std::move(heavy_result));
+  both.push_back(std::move(light_result));
+  return ReduceUnion(cluster, std::move(both), schema);
 }
 
 }  // namespace internal_line
@@ -189,19 +161,9 @@ DistRelation<S> LineQueryAggregate(mpc::Cluster& cluster,
   RemoveDangling(cluster, &instance);
 
   // Align relations with consecutive path edges.
-  std::vector<DistRelation<S>> rels(instance.relations.size());
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    bool found = false;
-    for (int e = 0; e < instance.query.num_edges(); ++e) {
-      const QueryEdge& edge = instance.query.edge(e);
-      if ((edge.u == path[i] && edge.v == path[i + 1]) ||
-          (edge.v == path[i] && edge.u == path[i + 1])) {
-        rels[i] = std::move(instance.relations[static_cast<size_t>(e)]);
-        found = true;
-        break;
-      }
-    }
-    CHECK(found);
+  std::vector<DistRelation<S>> rels;
+  for (int e : instance.query.PathEdges(path)) {
+    rels.push_back(std::move(instance.relations[static_cast<size_t>(e)]));
   }
   return internal_line::LineQueryRec(cluster, std::move(rels),
                                      std::move(path));

@@ -12,10 +12,11 @@
 #define PARJOIN_ALGORITHMS_MATMUL_H_
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 
 #include "parjoin/algorithms/matmul_os.h"
 #include "parjoin/algorithms/matmul_wc.h"
+#include "parjoin/plan/cost_model.h"
 #include "parjoin/relation/ops.h"
 #include "parjoin/sketch/out_estimate.h"
 
@@ -30,9 +31,6 @@ enum class MatMulStrategy {
 struct MatMulOptions {
   MatMulStrategy strategy = MatMulStrategy::kAuto;
   bool remove_dangling = true;
-  // Optional precomputed §2.2 estimate (A-side); recomputed when null and
-  // needed.
-  const OutEstimate* estimate = nullptr;
 };
 
 // Computes ∑_B R1(A,B) ⋈ R2(B,C). The output schema is (A, C).
@@ -69,30 +67,20 @@ DistRelation<S> MatMul(mpc::Cluster& cluster, DistRelation<S> r1,
     case MatMulStrategy::kWorstCase:
       return MatMulWorstCase(cluster, r1, r2);
     case MatMulStrategy::kOutputSensitive:
-      return MatMulOutputSensitive(cluster, r1, r2, options.estimate);
+      return MatMulOutputSensitive(cluster, r1, r2);
     case MatMulStrategy::kAuto:
       break;
   }
 
-  OutEstimate local_est;
-  const OutEstimate* est = options.estimate;
-  if (est == nullptr) {
-    local_est = EstimateChainOut(cluster, std::vector<DistRelation<S>>{r1, r2},
-                                 {m.a, m.b, m.c});
-    est = &local_est;
-  }
-  const double out_est =
-      std::max<double>(1.0, static_cast<double>(est->total));
+  const OutEstimate est = EstimateChainOut(
+      cluster, std::vector<DistRelation<S>>{r1, r2}, {m.a, m.b, m.c});
+  const std::int64_t out_est = std::max<std::int64_t>(1, est.total);
   const int p = cluster.p();
-  const double wc_bound =
-      std::sqrt(static_cast<double>(n1) * static_cast<double>(n2) / p);
-  const double os_bound =
-      std::cbrt(static_cast<double>(n1) * static_cast<double>(n2) * out_est) /
-      std::pow(static_cast<double>(p), 2.0 / 3.0);
-  if (wc_bound <= os_bound) {
+  if (plan::MatMulWorstCaseTerm(n1, n2, p) <=
+      plan::MatMulOutputSensitiveTerm(n1, n2, out_est, p)) {
     return MatMulWorstCase(cluster, r1, r2);
   }
-  return MatMulOutputSensitive(cluster, r1, r2, est);
+  return MatMulOutputSensitive(cluster, r1, r2, &est);
 }
 
 }  // namespace parjoin

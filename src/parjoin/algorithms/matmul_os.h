@@ -31,9 +31,7 @@
 
 #include "parjoin/algorithms/matmul_wc.h"
 #include "parjoin/algorithms/two_way_join.h"
-#include "parjoin/common/hash.h"
 #include "parjoin/common/logging.h"
-#include "parjoin/common/parallel_for.h"
 #include "parjoin/common/sorted_view.h"
 #include "parjoin/mpc/cluster.h"
 #include "parjoin/mpc/exchange.h"
@@ -52,7 +50,6 @@ DistRelation<S> LinearSparseMM(mpc::Cluster& cluster,
                                const DistRelation<S>& r2) {
   using internal_matmul::MatMulAttrs;
   const MatMulAttrs m = internal_matmul::ResolveMatMulAttrs(r1, r2);
-  const int p = cluster.p();
 
   struct Tagged {
     Tuple<S> t;
@@ -87,19 +84,9 @@ DistRelation<S> LinearSparseMM(mpc::Cluster& cluster,
 
   DistRelation<S> out;
   out.schema = Schema{m.a, m.c};
-  out.data = mpc::ReduceByKey(
-      cluster, std::move(partials),
-      [](const Tuple<S>& t) -> const Row& { return t.row; },
-      [](Tuple<S>* acc, const Tuple<S>& t) { acc->w = S::Plus(acc->w, t.w); },
-      p);
+  out.data = ReduceByRow(cluster, std::move(partials));
   return out;
 }
-
-struct MatMulOsOptions {
-  // Repetitions for the per-group column estimates (step 3); the global
-  // OUT estimate uses the EstimateChainOut default when not supplied.
-  int group_estimate_repetitions = 5;
-};
 
 // §3.2 output-sensitive algorithm. Preconditions: dangling tuples removed,
 // N1, N2 >= 1. `est` is the §2.2 estimate for the chain A-B-C (recomputed
@@ -108,8 +95,7 @@ template <SemiringC S>
 DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
                                       const DistRelation<S>& r1,
                                       const DistRelation<S>& r2,
-                                      const OutEstimate* est = nullptr,
-                                      const MatMulOsOptions& options = {}) {
+                                      const OutEstimate* est = nullptr) {
   using internal_matmul::MatMulAttrs;
   const MatMulAttrs m = internal_matmul::ResolveMatMulAttrs(r1, r2);
   const int p = cluster.p();
@@ -135,12 +121,9 @@ DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
   }
 
   const std::int64_t L = std::max<std::int64_t>(
-      1,
-      static_cast<std::int64_t>(std::ceil(
-          std::cbrt(static_cast<double>(n1) * static_cast<double>(n2) *
-                    static_cast<double>(out_est)) /
-          std::pow(static_cast<double>(p), 2.0 / 3.0))) +
-          (n + p - 1) / p);
+      1, static_cast<std::int64_t>(std::ceil(
+             plan::MatMulOutputSensitiveTerm(n1, n2, out_est, p))) +
+             (n + p - 1) / p);
   const std::int64_t heavy_row_threshold = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::ceil(std::sqrt(
              static_cast<double>(n2) * static_cast<double>(out_est) *
@@ -156,17 +139,13 @@ DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
   std::unordered_map<Value, bool> is_heavy_row;
   for (Value a : heavy_rows) is_heavy_row[a] = true;
 
-  // Split R1 locally (free).
-  DistRelation<S> r1_heavy, r1_light;
-  r1_heavy.schema = r1_light.schema = r1.schema;
-  r1_heavy.data = mpc::Dist<Tuple<S>>(r1.data.num_parts());
-  r1_light.data = mpc::Dist<Tuple<S>>(r1.data.num_parts());
-  for (int s = 0; s < r1.data.num_parts(); ++s) {
-    for (const auto& t : r1.data.part(s)) {
-      const bool heavy = is_heavy_row.count(t.row[m.a_pos]) > 0;
-      (heavy ? r1_heavy : r1_light).data.part(s).push_back(t);
-    }
-  }
+  // Split R1 locally (free): class 0 heavy, class 1 light.
+  auto heavy_or_light = [&](Value a) {
+    return is_heavy_row.count(a) > 0 ? 0 : 1;
+  };
+  const auto r1_split = SplitByAttr(r1, m.a_pos, 2, heavy_or_light);
+  const DistRelation<S>& r1_heavy = r1_split[0];
+  const DistRelation<S>& r1_light = r1_split[1];
 
   // --- Step 2: heavy rows via one optimal join + aggregation. ---
   DistRelation<S> heavy_out = empty;
@@ -199,18 +178,12 @@ DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
   k1 = std::max(k1, 1);
 
   // Per-group R1 fragments (local split, free).
-  std::vector<DistRelation<S>> r1_groups(static_cast<size_t>(k1));
-  for (auto& g : r1_groups) {
-    g.schema = r1.schema;
-    g.data = mpc::Dist<Tuple<S>>(r1.data.num_parts());
-  }
+  auto group_of = [&](Value a) { return group_of_a.at(a); };
+  const auto r1_groups = SplitByAttr(r1_light, m.a_pos, k1, group_of);
   std::vector<std::int64_t> group_size(static_cast<size_t>(k1), 0);
-  for (int s = 0; s < r1_light.data.num_parts(); ++s) {
-    for (const auto& t : r1_light.data.part(s)) {
-      const int i = group_of_a.at(t.row[m.a_pos]);
-      r1_groups[static_cast<size_t>(i)].data.part(s).push_back(t);
-      ++group_size[static_cast<size_t>(i)];
-    }
+  for (int i = 0; i < k1; ++i) {
+    group_size[static_cast<size_t>(i)] =
+        r1_groups[static_cast<size_t>(i)].TotalSize();
   }
 
   // R2 column degrees (bookkeeping for allocations; modeled-linear rounds,
@@ -222,18 +195,8 @@ DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
 
   // --- Steps 3b/4a: per group, estimate per-column output counts, split
   // heavy columns, and pack light columns into buckets C_ij. ---
-  struct Group {
-    int base = 0;
-    int size = 1;
-  };
-  int next_virtual = 0;
-  auto allocate = [&](std::int64_t work) {
-    Group g;
-    g.size = std::max<int>(1, static_cast<int>((work + L - 1) / L));
-    g.base = next_virtual;
-    next_virtual += g.size;
-    return g;
-  };
+  using internal_matmul::Group;
+  internal_matmul::VirtualServers servers{L};
 
   std::vector<std::unordered_map<Value, Group>> heavy_c(
       static_cast<size_t>(k1));
@@ -252,15 +215,15 @@ DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
     // Estimate |π_A σ_{A∈A_i}R1 ⋈ R2(B,c)| per column c (§2.2 chain C-B-A).
     OutEstimate est_i = EstimateChainOut(
         cluster, std::vector<DistRelation<S>>{r2, r1_i}, {m.c, m.b, m.a},
-        options.group_estimate_repetitions);
+        kFixedEstimateRepetitions);
 
     std::vector<mpc::PackedItem> col_items;
     // Sorted so virtual-server allocation order and the packing input are
     // functions of the data, not of hash-table iteration order.
     for (const auto& [c, cnt] : SortedEntries(est_i.per_source)) {
       if (cnt >= L) {
-        const Group g = allocate(group_size[static_cast<size_t>(i)] +
-                                 deg_c[c]);
+        const Group g =
+            servers.Allocate(group_size[static_cast<size_t>(i)] + deg_c[c]);
         heavy_c[static_cast<size_t>(i)][c] = g;
         heavy_groups[static_cast<size_t>(i)].push_back(g);
       } else {
@@ -284,19 +247,14 @@ DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
     }
     for (int j = 0; j < k2; ++j) {
       cells[static_cast<size_t>(i)].push_back(
-          allocate(group_size[static_cast<size_t>(i)] +
-                   bucket_r2_size[static_cast<size_t>(j)]));
+          servers.Allocate(group_size[static_cast<size_t>(i)] +
+                           bucket_r2_size[static_cast<size_t>(j)]));
     }
   }
-  const int num_virtual = std::max(next_virtual, 1);
+  const int num_virtual = std::max(servers.count, 1);
 
   // --- Steps 3c/4b: route and compute. ---
-  const std::uint64_t b_seed = cluster.rng().Next();
-  auto b_shard = [&](Value b, const Group& g) {
-    return g.base + static_cast<int>(
-                        Mix64(static_cast<std::uint64_t>(b) ^ b_seed) %
-                        static_cast<std::uint64_t>(g.size));
-  };
+  const internal_matmul::BShard b_shard{cluster.rng().Next()};
 
   auto r1_routed = mpc::ExchangeMulti(
       cluster, r1_light.data, num_virtual,
@@ -340,23 +298,9 @@ DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
     }
   }
 
-  DistRelation<S> out;
-  out.schema = Schema{m.a, m.c};
-  out.data = mpc::Dist<Tuple<S>>(p + num_virtual);
-  mpc::Dist<Tuple<S>> partials(num_virtual);
-  ParallelFor(num_virtual, [&](int v) {
-    std::vector<Tuple<S>>* sink = is_final[static_cast<size_t>(v)]
-                                      ? &out.data.part(p + v)
-                                      : &partials.part(v);
-    internal_matmul::LocalJoinAggregateAC(m, r1_routed.part(v),
-                                          r2_routed.part(v), sink);
-  });
-  mpc::Dist<Tuple<S>> reduced = mpc::ReduceByKey(
-      cluster, std::move(partials),
-      [](const Tuple<S>& t) -> const Row& { return t.row; },
-      [](Tuple<S>* acc, const Tuple<S>& t) { acc->w = S::Plus(acc->w, t.w); },
-      p);
-  for (int s = 0; s < p; ++s) out.data.part(s) = std::move(reduced.part(s));
+  DistRelation<S> out = internal_matmul::JoinCellsAndReduce(
+      cluster, m, r1_routed, r2_routed, num_virtual,
+      [&](int v) { return is_final[static_cast<size_t>(v)] ? v : -1; });
 
   // Union with the heavy-row results (disjoint classes of a-values).
   for (int s = 0; s < heavy_out.data.num_parts(); ++s) {

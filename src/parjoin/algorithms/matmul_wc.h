@@ -34,6 +34,7 @@
 #include "parjoin/mpc/cluster.h"
 #include "parjoin/mpc/exchange.h"
 #include "parjoin/mpc/primitives.h"
+#include "parjoin/plan/cost_model.h"
 #include "parjoin/relation/ops.h"
 #include "parjoin/relation/relation.h"
 
@@ -95,6 +96,67 @@ void LocalJoinAggregateAC(const MatMulAttrs& m,
   for (auto& [row, w] : SortedEntries(agg)) {
     out->push_back(Tuple<S>{std::move(row), w});
   }
+}
+
+// A group of consecutive virtual servers [base, base + size).
+struct Group {
+  int base = 0;
+  int size = 1;
+};
+
+// Hands out consecutive virtual-server groups; a group for `work` tuples
+// gets ceil(work / load) servers, at least one.
+struct VirtualServers {
+  std::int64_t load = 1;
+  int count = 0;  // servers handed out so far
+
+  Group Take(int size) {
+    Group g{count, size};
+    count += size;
+    return g;
+  }
+  Group Allocate(std::int64_t work) {
+    return Take(std::max<int>(1, static_cast<int>((work + load - 1) / load)));
+  }
+};
+
+// Hashes a B-value to one server of a group. `seed` is one cluster RNG
+// draw per algorithm run.
+struct BShard {
+  std::uint64_t seed = 0;
+
+  int operator()(Value b, const Group& g) const {
+    return g.base + static_cast<int>(
+                        Mix64(static_cast<std::uint64_t>(b) ^ seed) %
+                        static_cast<std::uint64_t>(g.size));
+  }
+};
+
+// The shared last step of both algorithms: every virtual server v joins
+// its routed R1/R2 fragments locally. When final_slot(v) >= 0, v holds a
+// whole output cell, so its rows are final and stay in place as part
+// p + final_slot(v); every other server's partial sums are ⊕-reduced into
+// parts [0, p). The result has p + num_final parts.
+template <SemiringC S, typename FinalSlot>
+DistRelation<S> JoinCellsAndReduce(mpc::Cluster& cluster, const MatMulAttrs& m,
+                                   const mpc::Dist<Tuple<S>>& r1_routed,
+                                   const mpc::Dist<Tuple<S>>& r2_routed,
+                                   int num_final, FinalSlot final_slot) {
+  const int p = cluster.p();
+  const int num_virtual = r1_routed.num_parts();
+  DistRelation<S> out;
+  out.schema = Schema{m.a, m.c};
+  out.data = mpc::Dist<Tuple<S>>(p + num_final);
+  mpc::Dist<Tuple<S>> partials(num_virtual);
+  ParallelFor(num_virtual, [&](int v) {
+    const int slot = final_slot(v);
+    std::vector<Tuple<S>>* sink =
+        slot >= 0 ? &out.data.part(p + slot) : &partials.part(v);
+    LocalJoinAggregateAC(m, r1_routed.part(v), r2_routed.part(v), sink);
+  });
+  mpc::Dist<Tuple<S>> reduced = ReduceByRow(cluster, std::move(partials));
+  for (int s = 0; s < p; ++s) out.data.part(s) = std::move(reduced.part(s));
+  return out;
 }
 
 // The simple algorithm for very unbalanced inputs (N_small/N_big < 1/p):
@@ -163,9 +225,8 @@ DistRelation<S> MatMulWorstCase(mpc::Cluster& cluster,
   }
 
   const std::int64_t L = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::ceil(
-             std::sqrt(static_cast<double>(n1) * static_cast<double>(n2) /
-                       p))));
+      1, static_cast<std::int64_t>(
+             std::ceil(plan::MatMulWorstCaseTerm(n1, n2, p))));
 
   // --- Step 1: degree statistics and heavy/light classification. ---
   mpc::Dist<ValueCount> deg_a = DegreesByAttr(cluster, r1, m.a);
@@ -205,19 +266,8 @@ DistRelation<S> MatMulWorstCase(mpc::Cluster& cluster,
   cluster.ChargeUniformRound(1);
 
   // --- Virtual-server allocation. ---
-  int next_virtual = 0;
-  struct Group {
-    int base = 0;
-    int size = 1;
-  };
-  auto allocate = [&](std::int64_t work) {
-    Group g;
-    g.size = static_cast<int>((work + L - 1) / L);
-    g.size = std::max(g.size, 1);
-    g.base = next_virtual;
-    next_virtual += g.size;
-    return g;
-  };
+  using internal_matmul::Group;
+  internal_matmul::VirtualServers servers{L};
 
   // Heavy-heavy: group per (a, c) pair, laid out in sorted (a, c) order;
   // hh[a_rank][c_rank] is the pair's group.
@@ -226,21 +276,21 @@ DistRelation<S> MatMulWorstCase(mpc::Cluster& cluster,
   for (int i = 0; i < na; ++i) {
     for (int j = 0; j < nc; ++j) {
       hh[static_cast<size_t>(i)][static_cast<size_t>(j)] =
-          allocate(heavy_a_sorted[static_cast<size_t>(i)].second +
-                   heavy_c_sorted[static_cast<size_t>(j)].second);
+          servers.Allocate(heavy_a_sorted[static_cast<size_t>(i)].second +
+                           heavy_c_sorted[static_cast<size_t>(j)].second);
     }
   }
   // Heavy-light: group per heavy a (receives R1(a,·) and all light R2).
   std::vector<Group> hl;
   hl.reserve(heavy_a_sorted.size());
   for (const auto& [a, da] : heavy_a_sorted) {
-    hl.push_back(allocate(da + n2_light));
+    hl.push_back(servers.Allocate(da + n2_light));
   }
   // Light-heavy: group per heavy c.
   std::vector<Group> lh;
   lh.reserve(heavy_c_sorted.size());
   for (const auto& [c, dc] : heavy_c_sorted) {
-    lh.push_back(allocate(dc + n1_light));
+    lh.push_back(servers.Allocate(dc + n1_light));
   }
 
   // Light-light: pack light values into buckets of total degree <= L.
@@ -268,14 +318,8 @@ DistRelation<S> MatMulWorstCase(mpc::Cluster& cluster,
   std::unordered_map<Value, int>& bucket_c = pack_c.first;
   const int k1 = std::max(1, pack_a.second);
   const int k2 = std::max(1, pack_c.second);
-  const Group grid = [&] {
-    Group g;
-    g.size = k1 * k2;
-    g.base = next_virtual;
-    next_virtual += g.size;
-    return g;
-  }();
-  const int num_virtual = next_virtual;
+  const Group grid = servers.Take(k1 * k2);
+  const int num_virtual = servers.count;
   // The paper guarantees sum of allocations = O(p); surface violations.
   if (num_virtual > 64 * p + 64) {
     LOG(WARNING) << "matmul_wc allocated " << num_virtual
@@ -283,12 +327,7 @@ DistRelation<S> MatMulWorstCase(mpc::Cluster& cluster,
   }
 
   // --- One replicated exchange per relation implements steps 2-4. ---
-  const std::uint64_t b_seed = cluster.rng().Next();
-  auto b_shard = [&](Value b, const Group& g) {
-    return g.base + static_cast<int>(
-                        Mix64(static_cast<std::uint64_t>(b) ^ b_seed) %
-                        static_cast<std::uint64_t>(g.size));
-  };
+  const internal_matmul::BShard b_shard{cluster.rng().Next()};
 
   // Route lambdas run concurrently across source parts (Exchange's
   // contract); lookups use find()/at() — never operator[], whose
@@ -336,27 +375,9 @@ DistRelation<S> MatMulWorstCase(mpc::Cluster& cluster,
   // Light-light cells produce final, pairwise-disjoint outputs (kept in
   // place, never shuffled). All other regions produce partial sums that
   // one global reduce-by-key combines (O(p*L) partials => load O(L)).
-  DistRelation<S> out;
-  out.schema = Schema{m.a, m.c};
-  out.data = mpc::Dist<Tuple<S>>(p + grid.size);
-
-  mpc::Dist<Tuple<S>> partials(num_virtual);
-  ParallelFor(num_virtual, [&](int v) {
-    const bool is_grid_cell = v >= grid.base;
-    std::vector<Tuple<S>>* sink =
-        is_grid_cell ? &out.data.part(p + (v - grid.base))
-                     : &partials.part(v);
-    internal_matmul::LocalJoinAggregateAC(m, r1_routed.part(v),
-                                          r2_routed.part(v), sink);
-  });
-
-  mpc::Dist<Tuple<S>> reduced = mpc::ReduceByKey(
-      cluster, std::move(partials),
-      [](const Tuple<S>& t) -> const Row& { return t.row; },
-      [](Tuple<S>* acc, const Tuple<S>& t) { acc->w = S::Plus(acc->w, t.w); },
-      p);
-  for (int s = 0; s < p; ++s) out.data.part(s) = std::move(reduced.part(s));
-  return out;
+  return internal_matmul::JoinCellsAndReduce(
+      cluster, m, r1_routed, r2_routed, grid.size,
+      [&](int v) { return v >= grid.base ? v - grid.base : -1; });
 }
 
 }  // namespace parjoin

@@ -31,53 +31,6 @@
 
 namespace parjoin {
 
-namespace internal_star {
-
-// Projects every tuple onto `target` (which must be a subset of the
-// schema) — a free local projection used to align result schemas before
-// the final reduce.
-template <SemiringC S>
-DistRelation<S> ProjectLocal(const DistRelation<S>& rel,
-                             const std::vector<AttrId>& target) {
-  const std::vector<int> positions = rel.schema.PositionsOf(target);
-  DistRelation<S> out;
-  out.schema = Schema(target);
-  out.data = mpc::Dist<Tuple<S>>(rel.data.num_parts());
-  for (int s = 0; s < rel.data.num_parts(); ++s) {
-    out.data.part(s).reserve(rel.data.part(s).size());
-    for (const auto& t : rel.data.part(s)) {
-      out.data.part(s).push_back(Tuple<S>{t.row.Select(positions), t.w});
-    }
-  }
-  return out;
-}
-
-// Reduce-by-key union of same-schema result fragments (the final
-// "aggregate all subqueries" step; charged).
-template <SemiringC S>
-DistRelation<S> ReduceUnion(mpc::Cluster& cluster,
-                            std::vector<DistRelation<S>> results,
-                            const Schema& schema) {
-  mpc::Dist<Tuple<S>> merged(0);
-  for (auto& r : results) {
-    CHECK(r.schema == schema);
-    for (auto& part : r.data.parts()) {
-      merged.parts().push_back(std::move(part));
-    }
-  }
-  if (merged.num_parts() == 0) merged = mpc::Dist<Tuple<S>>(cluster.p());
-  DistRelation<S> out;
-  out.schema = schema;
-  out.data = mpc::ReduceByKey(
-      cluster, std::move(merged),
-      [](const Tuple<S>& t) -> const Row& { return t.row; },
-      [](Tuple<S>* acc, const Tuple<S>& t) { acc->w = S::Plus(acc->w, t.w); },
-      cluster.p());
-  return out;
-}
-
-}  // namespace internal_star
-
 // Computes a star query. The instance must classify as kStar (or kMatMul
 // for two arms, handled by dispatch).
 template <SemiringC S>
@@ -99,7 +52,7 @@ DistRelation<S> StarQueryAggregate(mpc::Cluster& cluster,
     options.remove_dangling = false;
     DistRelation<S> mm = MatMul(cluster, std::move(instance.relations[0]),
                                 std::move(instance.relations[1]), options);
-    return internal_star::ProjectLocal(mm, outputs);
+    return ProjectLocal(mm, outputs);
   }
 
   const int p = cluster.p();
@@ -206,18 +159,11 @@ DistRelation<S> StarQueryAggregate(mpc::Cluster& cluster,
       ((i % 2 == 0) ? odd_arms : even_arms).push_back(order[static_cast<size_t>(i)]);
     }
 
-    auto join_side = [&](const std::vector<int>& arms) {
-      DistRelation<S> acc = frag[static_cast<size_t>(q)]
-                                [static_cast<size_t>(arms[0])];
-      for (size_t k = 1; k < arms.size(); ++k) {
-        acc = TwoWayJoin(
-            cluster, acc,
-            frag[static_cast<size_t>(q)][static_cast<size_t>(arms[k])]);
-      }
-      return acc;
+    auto arm_frag = [&](int arm) -> const DistRelation<S>& {
+      return frag[static_cast<size_t>(q)][static_cast<size_t>(arm)];
     };
-    DistRelation<S> odd_rel = join_side(odd_arms);
-    DistRelation<S> even_rel = join_side(even_arms);
+    DistRelation<S> odd_rel = JoinFold<S>(cluster, odd_arms, arm_frag);
+    DistRelation<S> even_rel = JoinFold<S>(cluster, even_arms, arm_frag);
     if (odd_rel.TotalSize() == 0 || even_rel.TotalSize() == 0) continue;
 
     std::vector<AttrId> odd_attrs, even_attrs;
@@ -238,12 +184,11 @@ DistRelation<S> StarQueryAggregate(mpc::Cluster& cluster,
     DistRelation<S> expanded =
         ExpandAttrs(cluster, mm, odd_c.dictionary, x_odd);
     expanded = ExpandAttrs(cluster, expanded, even_c.dictionary, x_even);
-    results.push_back(internal_star::ProjectLocal(expanded, outputs));
+    results.push_back(ProjectLocal(expanded, outputs));
   }
 
   // --- Step 3: aggregate all subqueries. ---
-  return internal_star::ReduceUnion(cluster, std::move(results),
-                                    Schema(outputs));
+  return ReduceUnion(cluster, std::move(results), Schema(outputs));
 }
 
 }  // namespace parjoin

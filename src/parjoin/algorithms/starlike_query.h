@@ -150,7 +150,8 @@ DistRelation<S> StarLikeAggregate(mpc::Cluster& cluster,
       for (int e : arm.edge_indices) {
         chain.push_back(instance.relations[static_cast<size_t>(e)]);
       }
-      OutEstimate est = EstimateChainOut(cluster, chain, arm.path, 5);
+      OutEstimate est = EstimateChainOut(cluster, chain, arm.path,
+                                         kFixedEstimateRepetitions);
       branching[static_cast<size_t>(i)] = std::move(est.per_source);
     }
   }
@@ -211,19 +212,14 @@ DistRelation<S> StarLikeAggregate(mpc::Cluster& cluster,
     // Build the class sub-instance: B-incident relations filtered to the
     // class's b values (local filter; the class map is known everywhere).
     TreeInstance<S> sub{instance.query, instance.relations};
+    auto in_class = [&](Value b) {
+      auto it = class_of_b.find(b);
+      return it != class_of_b.end() && it->second == cls ? 0 : -1;
+    };
     for (const auto& arm : arms) {
       auto& rel = sub.relations[static_cast<size_t>(arm.edge_indices[0])];
       const int pos = rel.schema.IndexOf(center);
-      for (auto& part : rel.data.parts()) {
-        std::vector<Tuple<S>> kept;
-        for (auto& t : part) {
-          auto it = class_of_b.find(t.row[pos]);
-          if (it != class_of_b.end() && it->second == cls) {
-            kept.push_back(std::move(t));
-          }
-        }
-        part = std::move(kept);
-      }
+      rel = std::move(SplitByAttr(std::move(rel), pos, 1, in_class)[0]);
     }
     {
       bool any = false;
@@ -253,16 +249,12 @@ DistRelation<S> StarLikeAggregate(mpc::Cluster& cluster,
     if (small) {
       // --- Step 2: shrink arms φ(1..n-1), join them, reduce to a line
       // query with the remaining arm. ---
-      DistRelation<S> acc = shrink(order[0]);
-      for (int i = 1; i + 1 < n; ++i) {
-        acc = TwoWayJoin(cluster, acc, shrink(order[static_cast<size_t>(i)]));
-      }
+      const std::vector<int> small_side(order.begin(), order.end() - 1);
+      DistRelation<S> acc = JoinFold<S>(cluster, small_side, shrink);
       if (acc.TotalSize() == 0) continue;
       std::vector<AttrId> small_attrs;
-      for (int i = 0; i + 1 < n; ++i) {
-        small_attrs.push_back(
-            arms[static_cast<size_t>(order[static_cast<size_t>(i)])]
-                .endpoint());
+      for (int k : small_side) {
+        small_attrs.push_back(arms[static_cast<size_t>(k)].endpoint());
       }
       CombinedRelation<S> combined =
           CombineAttrs(cluster, acc, small_attrs, x_small);
@@ -286,7 +278,7 @@ DistRelation<S> StarLikeAggregate(mpc::Cluster& cluster,
       if (line_result.TotalSize() == 0) continue;
       DistRelation<S> expanded =
           ExpandAttrs(cluster, line_result, combined.dictionary, x_small);
-      results.push_back(internal_star::ProjectLocal(expanded, outputs));
+      results.push_back(ProjectLocal(expanded, outputs));
     } else {
       // --- Step 3: shrink all arms; split indices I = {φ(n), φ(n-3), ...}
       // (Lemma 11); join each side; uniformize by degree; per-group
@@ -305,16 +297,8 @@ DistRelation<S> StarLikeAggregate(mpc::Cluster& cluster,
         side_j.push_back(side_i.back());
         side_i.pop_back();
       }
-      auto join_side = [&](const std::vector<int>& side) {
-        DistRelation<S> acc = shrink(side[0]);
-        for (size_t k = 1; k < side.size(); ++k) {
-          acc = TwoWayJoin(cluster, acc,
-                           shrink(side[static_cast<size_t>(k)]));
-        }
-        return acc;
-      };
-      DistRelation<S> rel_i = join_side(side_i);
-      DistRelation<S> rel_j = join_side(side_j);
+      DistRelation<S> rel_i = JoinFold<S>(cluster, side_i, shrink);
+      DistRelation<S> rel_j = JoinFold<S>(cluster, side_j, shrink);
       if (rel_i.TotalSize() == 0 || rel_j.TotalSize() == 0) continue;
 
       std::vector<AttrId> attrs_i, attrs_j;
@@ -398,13 +382,12 @@ DistRelation<S> StarLikeAggregate(mpc::Cluster& cluster,
         DistRelation<S> expanded =
             ExpandAttrs(cluster, mm, comb_i.dictionary, x_i);
         expanded = ExpandAttrs(cluster, expanded, comb_j.dictionary, x_j);
-        results.push_back(internal_star::ProjectLocal(expanded, outputs));
+        results.push_back(ProjectLocal(expanded, outputs));
       }
     }
   }
 
-  return internal_star::ReduceUnion(cluster, std::move(results),
-                                    Schema(outputs));
+  return ReduceUnion(cluster, std::move(results), Schema(outputs));
 }
 
 }  // namespace parjoin

@@ -146,7 +146,8 @@ EstimateMap EstimateX(mpc::Cluster& cluster, const TreeInstance<S>& instance,
           instance.relations[static_cast<size_t>(
               leaf.tb_edges[static_cast<size_t>(local_e)])]);
     }
-    OutEstimate est = EstimateChainOut(cluster, chain, arm.path, 5);
+    OutEstimate est = EstimateChainOut(cluster, chain, arm.path,
+                                       kFixedEstimateRepetitions);
     if (first) {
       // parjoin-analyzer: order-independent(one map write per distinct key)
       for (const auto& [b, cnt] : est.per_source) {
@@ -259,18 +260,18 @@ DistRelation<S> ComputeTwig(mpc::Cluster& cluster, TreeInstance<S> instance) {
     case QueryShape::kMatMul:
     case QueryShape::kLine: {
       DistRelation<S> r = LineQueryAggregate(cluster, std::move(instance));
-      return internal_star::ProjectLocal(r, outputs);
+      return ProjectLocal(r, outputs);
     }
     case QueryShape::kStar:
     case QueryShape::kStarLike: {
       DistRelation<S> r = StarLikeAggregate(cluster, std::move(instance));
-      return internal_star::ProjectLocal(r, outputs);
+      return ProjectLocal(r, outputs);
     }
     case QueryShape::kFreeConnex: {
       // Prior work's case ([14] achieves the optimal bound; the baseline
       // Yannakakis is within the scope the paper assumes for it).
       DistRelation<S> r = YannakakisJoinAggregate(cluster, std::move(instance));
-      return internal_star::ProjectLocal(r, outputs);
+      return ProjectLocal(r, outputs);
     }
     case QueryShape::kTree:
       break;
@@ -329,18 +330,13 @@ DistRelation<S> ComputeTwig(mpc::Cluster& cluster, TreeInstance<S> instance) {
         const double yv = yi == yl.end() ? 1.0 : yi->second;
         return xv > yv;
       };
+      auto in_class = [&](Value b) {
+        return is_heavy(b) == want_heavy ? 0 : -1;
+      };
       for (int e : instance.query.IncidentEdges(b_attr)) {
         auto& rel = sub.relations[static_cast<size_t>(e)];
         const int pos = rel.schema.IndexOf(b_attr);
-        for (auto& part : rel.data.parts()) {
-          std::vector<Tuple<S>> kept;
-          for (auto& t : part) {
-            if (is_heavy(t.row[pos]) == want_heavy) {
-              kept.push_back(std::move(t));
-            }
-          }
-          part = std::move(kept);
-        }
+        rel = std::move(SplitByAttr(std::move(rel), pos, 1, in_class)[0]);
       }
     }
     cluster.ChargeUniformRound(
@@ -383,25 +379,17 @@ DistRelation<S> ComputeTwig(mpc::Cluster& cluster, TreeInstance<S> instance) {
       // Shrink the star-like T_B into R(B, endpoints...), then combine.
       JoinTree tb = instance.query.InducedSubquery(leaf.tb_edges, {leaf.b});
       const auto arms = internal_starlike::ExtractArms(tb, leaf.b);
-      DistRelation<S> acc;
-      bool first = true;
       std::vector<AttrId> endpoints;
-      for (const auto& arm : arms) {
+      for (const auto& arm : arms) endpoints.push_back(arm.endpoint());
+      auto shrink = [&](const internal_starlike::Arm& arm) {
         std::vector<DistRelation<S>> arm_rels;
         for (int local_e : arm.edge_indices) {
           arm_rels.push_back(sub.relations[static_cast<size_t>(
               leaf.tb_edges[static_cast<size_t>(local_e)])]);
         }
-        DistRelation<S> shrunk =
-            internal_starlike::ShrinkArm(cluster, arm, std::move(arm_rels));
-        endpoints.push_back(arm.endpoint());
-        if (first) {
-          acc = std::move(shrunk);
-          first = false;
-        } else {
-          acc = TwoWayJoin(cluster, acc, shrunk);
-        }
-      }
+        return internal_starlike::ShrinkArm(cluster, arm, std::move(arm_rels));
+      };
+      DistRelation<S> acc = JoinFold<S>(cluster, arms, shrink);
       if (acc.TotalSize() == 0) {
         subquery_empty = true;
         break;
@@ -434,11 +422,10 @@ DistRelation<S> ComputeTwig(mpc::Cluster& cluster, TreeInstance<S> instance) {
     for (auto& [x_attr, dict] : dictionaries) {
       r = ExpandAttrs(cluster, r, dict, x_attr);
     }
-    results.push_back(internal_star::ProjectLocal(r, outputs));
+    results.push_back(ProjectLocal(r, outputs));
   }
 
-  return internal_star::ReduceUnion(cluster, std::move(results),
-                                    Schema(outputs));
+  return ReduceUnion(cluster, std::move(results), Schema(outputs));
 }
 
 }  // namespace internal_tree

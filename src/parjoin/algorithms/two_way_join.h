@@ -166,6 +166,21 @@ DistRelation<S> TwoWayJoin(mpc::Cluster& cluster, const DistRelation<S>& r,
   return out;
 }
 
+// Left-deep fold make(items[0]) ⋈ make(items[1]) ⋈ ... by TwoWayJoin.
+// Operands are made lazily and in order: make(items[k]) runs after the
+// join with the operand before it, so whatever charged work making it
+// takes (e.g. shrinking an arm) keeps its place among the rounds.
+template <SemiringC S, typename Item, typename MakeOperand>
+DistRelation<S> JoinFold(mpc::Cluster& cluster, const std::vector<Item>& items,
+                         MakeOperand make) {
+  CHECK(!items.empty());
+  DistRelation<S> acc = make(items[0]);
+  for (size_t k = 1; k < items.size(); ++k) {
+    acc = TwoWayJoin(cluster, acc, make(items[k]));
+  }
+  return acc;
+}
+
 // One Yannakakis step: join then ⊕-aggregate onto `group_attrs`
 // ("replace R_e' by the aggregate of R_e ⋈ R_e'", §1.2).
 template <SemiringC S>

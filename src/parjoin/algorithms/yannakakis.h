@@ -22,10 +22,6 @@
 namespace parjoin {
 
 struct YannakakisOptions {
-  // Dangling-tuple removal can be skipped when the caller guarantees the
-  // instance is already fully reduced (e.g. inside larger algorithms that
-  // removed dangling tuples up front).
-  bool remove_dangling = true;
   // When false, runs the literal 1981 algorithm: intermediate relations are
   // only projected at the very end (no aggregation pushdown). This is the
   // O(N/p + J/p) baseline with J up to the FULL join size — kept as a
@@ -42,7 +38,7 @@ DistRelation<S> YannakakisJoinAggregate(
     mpc::Cluster& cluster, TreeInstance<S> instance,
     const YannakakisOptions& options = {}) {
   instance.Validate();
-  if (options.remove_dangling) RemoveDangling(cluster, &instance);
+  RemoveDangling(cluster, &instance);
 
   const JoinTree& q = instance.query;
   if (q.num_edges() == 1) {

@@ -87,6 +87,55 @@ void DeliverBuckets(std::vector<std::vector<std::vector<T>>>* buckets,
   });
 }
 
+// The router behind Exchange and ExchangeMulti: one round delivering every
+// item to each destination its router names. make_router() builds one
+// router per walk — once for the sequential walk, once per source part
+// for the threaded one — so a router may own scratch state (ExchangeMulti's
+// destination vector) without sharing it across threads. A router is
+// called as router(item, emit) and calls emit(dest) once per destination,
+// in delivery order.
+template <typename T, typename MakeRouter>
+Dist<T> RouteRound(Cluster& cluster, const Dist<T>& in, int num_dest_parts,
+                   MakeRouter make_router) {
+  CHECK_GT(num_dest_parts, 0);
+  Dist<T> out(num_dest_parts);
+  std::vector<std::int64_t> received(static_cast<size_t>(num_dest_parts), 0);
+  const int num_src = in.num_parts();
+  if (!UseThreadedRoute(in.TotalSize(), num_src, num_dest_parts)) {
+    auto router = make_router();
+    for (const auto& part : in.parts()) {
+      for (const auto& item : part) {
+        router(item, [&](int dest) {
+          CHECK_GE(dest, 0);
+          CHECK_LT(dest, num_dest_parts);
+          out.part(dest).push_back(item);
+          received[static_cast<size_t>(dest)] += 1;
+        });
+      }
+    }
+  } else {
+    // Phase 1: every source part buckets its items by destination.
+    std::vector<std::vector<std::vector<T>>> buckets(
+        static_cast<size_t>(num_src));
+    ParallelFor(num_src, [&](int s) {
+      auto& local = buckets[static_cast<size_t>(s)];
+      local.resize(static_cast<size_t>(num_dest_parts));
+      auto router = make_router();
+      for (const auto& item : in.part(s)) {
+        router(item, [&](int dest) {
+          CHECK_GE(dest, 0);
+          CHECK_LT(dest, num_dest_parts);
+          local[static_cast<size_t>(dest)].push_back(item);
+        });
+      }
+    });
+    // Phase 2: every destination concatenates its buckets in source order.
+    DeliverBuckets(&buckets, &out, &received);
+  }
+  VerifyAndCharge(cluster, out, received);
+  return out;
+}
+
 }  // namespace internal_exchange
 
 // One round: routes every item to route(item) in [0, num_dest_parts).
@@ -95,43 +144,10 @@ void DeliverBuckets(std::vector<std::vector<std::vector<T>>>* buckets,
 template <typename T, typename Route>
 Dist<T> Exchange(Cluster& cluster, const Dist<T>& in, int num_dest_parts,
                  Route route) {
-  CHECK_GT(num_dest_parts, 0);
   TraceScope trace(cluster, "exchange");
-  Dist<T> out(num_dest_parts);
-  std::vector<std::int64_t> received(static_cast<size_t>(num_dest_parts), 0);
-  const int num_src = in.num_parts();
-  if (!internal_exchange::UseThreadedRoute(in.TotalSize(), num_src,
-                                           num_dest_parts)) {
-    for (const auto& part : in.parts()) {
-      for (const auto& item : part) {
-        const int dest = route(item);
-        CHECK_GE(dest, 0);
-        CHECK_LT(dest, num_dest_parts);
-        out.part(dest).push_back(item);
-        received[static_cast<size_t>(dest)] += 1;
-      }
-    }
-    internal_exchange::VerifyAndCharge(cluster, out, received);
-    return out;
-  }
-
-  // Phase 1: every source part buckets its items by destination.
-  std::vector<std::vector<std::vector<T>>> buckets(
-      static_cast<size_t>(num_src));
-  ParallelFor(num_src, [&](int s) {
-    auto& local = buckets[static_cast<size_t>(s)];
-    local.resize(static_cast<size_t>(num_dest_parts));
-    for (const auto& item : in.part(s)) {
-      const int dest = route(item);
-      CHECK_GE(dest, 0);
-      CHECK_LT(dest, num_dest_parts);
-      local[static_cast<size_t>(dest)].push_back(item);
-    }
+  return internal_exchange::RouteRound(cluster, in, num_dest_parts, [&] {
+    return [&](const T& item, auto emit) { emit(route(item)); };
   });
-  // Phase 2: every destination concatenates its buckets in source order.
-  internal_exchange::DeliverBuckets(&buckets, &out, &received);
-  internal_exchange::VerifyAndCharge(cluster, out, received);
-  return out;
 }
 
 // One round with replication: route_multi(item, &dests) appends every
@@ -142,48 +158,13 @@ template <typename T, typename RouteMulti>
 Dist<T> ExchangeMulti(Cluster& cluster, const Dist<T>& in, int num_dest_parts,
                       RouteMulti route_multi) {
   TraceScope trace(cluster, "exchange_multi");
-  CHECK_GT(num_dest_parts, 0);
-  Dist<T> out(num_dest_parts);
-  std::vector<std::int64_t> received(static_cast<size_t>(num_dest_parts), 0);
-  const int num_src = in.num_parts();
-  if (!internal_exchange::UseThreadedRoute(in.TotalSize(), num_src,
-                                           num_dest_parts)) {
-    std::vector<int> dests;
-    for (const auto& part : in.parts()) {
-      for (const auto& item : part) {
-        dests.clear();
-        route_multi(item, &dests);
-        for (int dest : dests) {
-          CHECK_GE(dest, 0);
-          CHECK_LT(dest, num_dest_parts);
-          out.part(dest).push_back(item);
-          received[static_cast<size_t>(dest)] += 1;
-        }
-      }
-    }
-    internal_exchange::VerifyAndCharge(cluster, out, received);
-    return out;
-  }
-
-  std::vector<std::vector<std::vector<T>>> buckets(
-      static_cast<size_t>(num_src));
-  ParallelFor(num_src, [&](int s) {
-    auto& local = buckets[static_cast<size_t>(s)];
-    local.resize(static_cast<size_t>(num_dest_parts));
-    std::vector<int> dests;
-    for (const auto& item : in.part(s)) {
+  return internal_exchange::RouteRound(cluster, in, num_dest_parts, [&] {
+    return [&, dests = std::vector<int>()](const T& item, auto emit) mutable {
       dests.clear();
       route_multi(item, &dests);
-      for (int dest : dests) {
-        CHECK_GE(dest, 0);
-        CHECK_LT(dest, num_dest_parts);
-        local[static_cast<size_t>(dest)].push_back(item);
-      }
-    }
+      for (int dest : dests) emit(dest);
+    };
   });
-  internal_exchange::DeliverBuckets(&buckets, &out, &received);
-  internal_exchange::VerifyAndCharge(cluster, out, received);
-  return out;
 }
 
 // Sends every item to the single (virtual) server `dest_part` (ids >= p are

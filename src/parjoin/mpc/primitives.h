@@ -295,6 +295,36 @@ auto SummarizeKeyRuns(const Dist<T>& sorted, KeyFn key_fn) {
   return sum;
 }
 
+// The fix round's charge: every item of a leading run that continues an
+// earlier part's run ships one unit to the run's home part.
+template <typename Key>
+std::vector<std::int64_t> FixRoundReceived(const KeyRunSummary<Key>& runs) {
+  const size_t parts = runs.nonempty.size();
+  std::vector<std::int64_t> received(parts, 0);
+  for (size_t idx = 0; idx < parts; ++idx) {
+    if (runs.nonempty[idx] != 0 &&
+        runs.head_home[idx] != static_cast<int>(idx)) {
+      received[static_cast<size_t>(runs.head_home[idx])] +=
+          runs.leading_len[idx];
+    }
+  }
+  return received;
+}
+
+// Moves the key-sorted `items` onto the end of *out, combining adjacent
+// equal keys left to right.
+template <typename T, typename KeyFn, typename CombineFn>
+void FoldAdjacentEqual(std::vector<T>& items, KeyFn key_fn, CombineFn combine,
+                       std::vector<T>* out) {
+  for (auto& item : items) {
+    if (!out->empty() && key_fn(out->back()) == key_fn(item)) {
+      combine(&out->back(), item);
+    } else {
+      out->push_back(std::move(item));
+    }
+  }
+}
+
 }  // namespace internal_primitives
 
 // --- Sorting [Goodrich '99] -------------------------------------------------
@@ -357,14 +387,8 @@ Dist<T> SortGroupedByKey(Cluster& cluster, Dist<T> in, KeyFn key_fn,
   // identical to the old per-item walk (each moved tuple charges one unit
   // to the run's home).
   const auto runs = internal_primitives::SummarizeKeyRuns(sorted, key_fn);
-  std::vector<std::int64_t> received(static_cast<size_t>(num_parts), 0);
-  for (int s = 0; s < num_parts; ++s) {
-    const size_t idx = static_cast<size_t>(s);
-    if (runs.nonempty[idx] != 0 && runs.head_home[idx] != s) {
-      received[static_cast<size_t>(runs.head_home[idx])] +=
-          runs.leading_len[idx];
-    }
-  }
+  std::vector<std::int64_t> received =
+      internal_primitives::FixRoundReceived(runs);
   Dist<T> out(num_parts);
   ParallelFor(num_parts, [&](int t) {
     const size_t tdx = static_cast<size_t>(t);
@@ -433,14 +457,8 @@ Dist<T> ReduceByKey(Cluster& cluster, Dist<T>&& in, KeyFn key_fn,
                      [&](const T& a, const T& b) {
                        return key_fn(a) < key_fn(b);
                      });
-    auto& out_part = pre.part(s);
-    for (auto& item : local) {
-      if (!out_part.empty() && key_fn(out_part.back()) == key_fn(item)) {
-        combine(&out_part.back(), item);
-      } else {
-        out_part.push_back(std::move(item));
-      }
-    }
+    internal_primitives::FoldAdjacentEqual(local, key_fn, combine,
+                                           &pre.part(s));
     local.clear();
     local.shrink_to_fit();
   });
@@ -462,24 +480,11 @@ Dist<T> ReduceByKey(Cluster& cluster, Dist<T>&& in, KeyFn key_fn,
   const auto runs = internal_primitives::SummarizeKeyRuns(sorted, key_fn);
   Dist<T> folded(num_parts);
   ParallelFor(num_parts, [&](int s) {
-    auto& src = sorted.part(s);
-    auto& dst = folded.part(s);
-    for (auto& item : src) {
-      if (!dst.empty() && key_fn(dst.back()) == key_fn(item)) {
-        combine(&dst.back(), item);
-      } else {
-        dst.push_back(std::move(item));
-      }
-    }
+    internal_primitives::FoldAdjacentEqual(sorted.part(s), key_fn, combine,
+                                           &folded.part(s));
   });
-  std::vector<std::int64_t> received(static_cast<size_t>(num_parts), 0);
-  for (int s = 0; s < num_parts; ++s) {
-    const size_t idx = static_cast<size_t>(s);
-    if (runs.nonempty[idx] != 0 && runs.head_home[idx] != s) {
-      received[static_cast<size_t>(runs.head_home[idx])] +=
-          runs.leading_len[idx];
-    }
-  }
+  std::vector<std::int64_t> received =
+      internal_primitives::FixRoundReceived(runs);
   Dist<T> out(num_parts);
   ParallelFor(num_parts, [&](int t) {
     const size_t tdx = static_cast<size_t>(t);

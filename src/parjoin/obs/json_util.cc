@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace parjoin {
 namespace obs {
@@ -247,12 +248,28 @@ StatusOr<std::int64_t> GetInt(const FlatJsonObject& obj,
                               const std::string& key,
                               const std::string& where) {
   PARJOIN_ASSIGN_OR_RETURN(double v, GetNumber(obj, key, where));
+  // The cast is defined only inside [-2^63, 2^63); check before casting.
+  if (!(v >= -0x1p63 && v < 0x1p63)) {
+    return InvalidArgumentError(where + ": field '" + key +
+                                "' is out of range for a 64-bit integer");
+  }
   const std::int64_t i = static_cast<std::int64_t>(v);
   if (static_cast<double>(i) != v) {
     return InvalidArgumentError(where + ": field '" + key +
                                 "' is not an integer");
   }
   return i;
+}
+
+StatusOr<int> GetInt32(const FlatJsonObject& obj, const std::string& key,
+                       const std::string& where) {
+  PARJOIN_ASSIGN_OR_RETURN(std::int64_t v, GetInt(obj, key, where));
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return InvalidArgumentError(where + ": field '" + key +
+                                "' is out of range for a 32-bit integer");
+  }
+  return static_cast<int>(v);
 }
 
 StatusOr<bool> GetBool(const FlatJsonObject& obj, const std::string& key,

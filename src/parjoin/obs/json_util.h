@@ -50,9 +50,13 @@ StatusOr<std::string> GetString(const FlatJsonObject& obj,
                                 const std::string& where);
 StatusOr<double> GetNumber(const FlatJsonObject& obj, const std::string& key,
                            const std::string& where);
+// GetInt rejects non-integers and values outside int64; GetInt32 also
+// rejects values outside int.
 StatusOr<std::int64_t> GetInt(const FlatJsonObject& obj,
                               const std::string& key,
                               const std::string& where);
+StatusOr<int> GetInt32(const FlatJsonObject& obj, const std::string& key,
+                       const std::string& where);
 StatusOr<bool> GetBool(const FlatJsonObject& obj, const std::string& key,
                        const std::string& where);
 

@@ -44,9 +44,8 @@ StatusOr<std::pair<ProfileKey, ProfileCell>> ParseCellLine(
   PARJOIN_ASSIGN_OR_RETURN(std::string shape,
                            GetString(obj, "shape", where));
   PARJOIN_ASSIGN_OR_RETURN(key.shape, QueryShapeFromName(shape));
-  PARJOIN_ASSIGN_OR_RETURN(std::int64_t p, GetInt(obj, "p", where));
-  if (p < 1) return InvalidArgumentError(where + ": p must be >= 1");
-  key.p = static_cast<int>(p);
+  PARJOIN_ASSIGN_OR_RETURN(key.p, GetInt32(obj, "p", where));
+  if (key.p < 1) return InvalidArgumentError(where + ": p must be >= 1");
   PARJOIN_ASSIGN_OR_RETURN(std::int64_t log2_n,
                            GetInt(obj, "log2_n", where));
   if (log2_n < 0 || log2_n > 62) {

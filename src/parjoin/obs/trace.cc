@@ -171,11 +171,8 @@ StatusOr<ParsedTrace> ParseTraceJsonl(const std::string& text) {
         return InvalidArgumentError(where + ": round before meta line");
       }
       TraceRound r;
-      PARJOIN_ASSIGN_OR_RETURN(std::int64_t seq, GetInt(obj, "seq", where));
-      r.seq = static_cast<int>(seq);
-      PARJOIN_ASSIGN_OR_RETURN(std::int64_t round,
-                               GetInt(obj, "round", where));
-      r.round = static_cast<int>(round);
+      PARJOIN_ASSIGN_OR_RETURN(r.seq, GetInt32(obj, "seq", where));
+      PARJOIN_ASSIGN_OR_RETURN(r.round, GetInt32(obj, "round", where));
       PARJOIN_ASSIGN_OR_RETURN(r.scope, GetString(obj, "scope", where));
       PARJOIN_ASSIGN_OR_RETURN(r.max_load, GetInt(obj, "max_load", where));
       PARJOIN_ASSIGN_OR_RETURN(r.tuples, GetInt(obj, "tuples", where));
@@ -192,17 +189,12 @@ StatusOr<ParsedTrace> ParseTraceJsonl(const std::string& text) {
         return InvalidArgumentError(where + ": event before meta line");
       }
       TraceEvent e;
-      PARJOIN_ASSIGN_OR_RETURN(std::int64_t seq, GetInt(obj, "seq", where));
-      e.seq = static_cast<int>(seq);
+      PARJOIN_ASSIGN_OR_RETURN(e.seq, GetInt32(obj, "seq", where));
       PARJOIN_ASSIGN_OR_RETURN(e.kind, GetString(obj, "kind", where));
-      PARJOIN_ASSIGN_OR_RETURN(std::int64_t round,
-                               GetInt(obj, "round", where));
-      e.round = static_cast<int>(round);
+      PARJOIN_ASSIGN_OR_RETURN(e.round, GetInt32(obj, "round", where));
       PARJOIN_ASSIGN_OR_RETURN(e.detail, GetString(obj, "detail", where));
       if (obj.count("server") > 0) {
-        PARJOIN_ASSIGN_OR_RETURN(std::int64_t server,
-                                 GetInt(obj, "server", where));
-        e.server = static_cast<int>(server);
+        PARJOIN_ASSIGN_OR_RETURN(e.server, GetInt32(obj, "server", where));
       }
       if (obj.count("factor") > 0) {
         PARJOIN_ASSIGN_OR_RETURN(e.factor, GetNumber(obj, "factor", where));

@@ -69,15 +69,22 @@ StatusOr<Algorithm> AlgorithmFromName(const std::string& name) {
   return InvalidArgumentError("unknown algorithm name: '" + name + "'");
 }
 
+double MatMulWorstCaseTerm(std::int64_t n1, std::int64_t n2, int p) {
+  return std::sqrt(D(n1) * D(n2) / p);
+}
+
+double MatMulOutputSensitiveTerm(std::int64_t n1, std::int64_t n2,
+                                 std::int64_t out, int p) {
+  return std::cbrt(D(n1) * D(n2) * D(out)) / P23(p);
+}
+
 double YannakakisMatMulBound(std::int64_t n, std::int64_t out, int p) {
   return D(n) / p + D(n) * std::sqrt(D(out)) / p;
 }
 
 double NewMatMulBound(std::int64_t n1, std::int64_t n2, std::int64_t out,
                       int p) {
-  const double wc = std::sqrt(D(n1) * D(n2) / p);
-  const double os = std::cbrt(D(n1) * D(n2) * D(out)) / P23(p);
-  return D(n1 + n2) / p + std::min(wc, os);
+  return D(n1 + n2) / p + MatMulLowerBound(n1, n2, out, p);
 }
 
 double YannakakisStarBound(std::int64_t n, std::int64_t out, int arity,
@@ -101,9 +108,8 @@ double NewTreeBound(std::int64_t n, std::int64_t out, int p) {
 
 double MatMulLowerBound(std::int64_t n1, std::int64_t n2, std::int64_t out,
                         int p) {
-  const double wc = std::sqrt(D(n1) * D(n2) / p);
-  const double os = std::cbrt(D(n1) * D(n2) * D(out)) / P23(p);
-  return std::min(wc, os);
+  return std::min(MatMulWorstCaseTerm(n1, n2, p),
+                  MatMulOutputSensitiveTerm(n1, n2, out, p));
 }
 
 bool Applicable(Algorithm a, QueryShape shape) {
@@ -155,10 +161,10 @@ double PredictLoad(Algorithm a, QueryShape shape, const InstanceStats& s,
         // p^{1/3} cells, locally pre-aggregated full join reduced at the end.
         return D(s.n1 + s.n2) / P23(p) + D(j) / p + D(out) / p;
       case Algorithm::kMatMulWorstCase:
-        return D(s.n1 + s.n2) / p + std::sqrt(D(s.n1) * D(s.n2) / p);
+        return D(s.n1 + s.n2) / p + MatMulWorstCaseTerm(s.n1, s.n2, p);
       case Algorithm::kMatMulOutputSensitive:
         return D(s.n1 + s.n2) / p +
-               std::cbrt(D(s.n1) * D(s.n2) * D(out)) / P23(p) + D(out) / p;
+               MatMulOutputSensitiveTerm(s.n1, s.n2, out, p) + D(out) / p;
       case Algorithm::kLineTheorem4:
       case Algorithm::kStarTheorem5:
         return NewLineStarBound(n, out, p);

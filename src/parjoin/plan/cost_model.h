@@ -72,6 +72,15 @@ StatusOr<Algorithm> AlgorithmFromName(const std::string& name);
 
 // --- Table 1 closed forms (constant 1) --------------------------------------
 
+// The two terms Theorem 1 takes the minimum of: the worst-case term
+// sqrt(N1*N2/p) (§3.1) and the output-sensitive term
+// (N1*N2*OUT)^{1/3}/p^{2/3} (§3.2). Every bound, prediction and dispatch
+// below evaluates them here, so MatMul's `<=` between them compares the
+// same doubles the cost model reports.
+double MatMulWorstCaseTerm(std::int64_t n1, std::int64_t n2, int p);
+double MatMulOutputSensitiveTerm(std::int64_t n1, std::int64_t n2,
+                                 std::int64_t out, int p);
+
 // Distributed Yannakakis, matrix multiplication: O(N/p + N*sqrt(OUT)/p).
 double YannakakisMatMulBound(std::int64_t n, std::int64_t out, int p);
 

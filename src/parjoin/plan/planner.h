@@ -46,16 +46,9 @@ namespace parjoin {
 namespace plan {
 
 struct PlannerOptions {
-  // Run the estimation round. When false (or when out_override is set) the
-  // planner scores with whatever OUT it is given and the Table 1 worst
-  // case for J.
-  bool estimate_out = true;
-  // Repetitions for the §2.2 chain estimator. The §2.2 default (0 here)
-  // is ceil(log2 N) for the w.h.p. guarantee; planning keeps it constant
-  // so the estimation round stays a small fraction of execution.
-  int estimate_repetitions = 5;
-  // >= 0: trust this OUT instead of estimating (benches that know the
-  // exact OUT from the block geometry, repeated queries, ...).
+  // >= 0: trust this OUT instead of running the estimation round (benches
+  // that know the exact OUT from the block geometry, repeated queries,
+  // ...); J is then the Table 1 worst case.
   std::int64_t out_override = -1;
   // Profile-fitted constant factors (cost_model.h). Null: score with
   // constant 1. Not owned; must outlive the PlanQuery call.
@@ -73,27 +66,18 @@ inline std::int64_t ClampedMul(std::int64_t a, std::int64_t b) {
 // OUT and J for path-shaped queries (matmul and line) via §2.2.
 template <SemiringC S>
 void EstimatePath(mpc::Cluster& cluster, const TreeInstance<S>& instance,
-                  const std::vector<AttrId>& path, int repetitions,
-                  InstanceStats* stats) {
+                  const std::vector<AttrId>& path, InstanceStats* stats) {
   // Align relations with consecutive path edges.
   std::vector<DistRelation<S>> chain;
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    for (int e = 0; e < instance.query.num_edges(); ++e) {
-      const QueryEdge& edge = instance.query.edge(e);
-      if ((edge.u == path[i] && edge.v == path[i + 1]) ||
-          (edge.v == path[i] && edge.u == path[i + 1])) {
-        chain.push_back(instance.relations[static_cast<size_t>(e)]);
-        break;
-      }
-    }
+  for (int e : instance.query.PathEdges(path)) {
+    chain.push_back(instance.relations[static_cast<size_t>(e)]);
   }
-  CHECK_EQ(chain.size(), path.size() - 1);
   if (chain.size() == 2) {
     stats->n1 = chain[0].TotalSize();
     stats->n2 = chain[1].TotalSize();
   }
   const OutEstimate est =
-      EstimateChainOut(cluster, chain, path, repetitions);
+      EstimateChainOut(cluster, chain, path, kFixedEstimateRepetitions);
   stats->out_estimate = std::max<std::int64_t>(1, est.total);
   stats->join_estimate =
       std::max(stats->out_estimate, est.max_intermediate);
@@ -275,14 +259,13 @@ PhysicalPlan PlanQuery(mpc::Cluster& cluster, const TreeInstance<S>& instance,
     stats.join_estimate = std::max(
         stats.out_estimate,
         internal_plan::ClampedMul(stats.total_input, stats.out_estimate));
-  } else if (options.estimate_out) {
+  } else {
     switch (plan.shape) {
       case QueryShape::kMatMul:
       case QueryShape::kLine: {
         std::vector<AttrId> path;
         CHECK(instance.query.IsPath(&path));
-        internal_plan::EstimatePath(cluster, instance, path,
-                                    options.estimate_repetitions, &stats);
+        internal_plan::EstimatePath(cluster, instance, path, &stats);
         break;
       }
       case QueryShape::kStar: {
@@ -295,9 +278,6 @@ PhysicalPlan PlanQuery(mpc::Cluster& cluster, const TreeInstance<S>& instance,
         internal_plan::EstimateGeneric(cluster, instance, &stats);
         break;
     }
-  } else {
-    stats.join_estimate =
-        internal_plan::ClampedMul(stats.total_input, stats.out_estimate);
   }
 
   plan.candidates = ScoreCandidates(plan.shape, stats, options.calibration);

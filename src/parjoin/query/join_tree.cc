@@ -187,6 +187,24 @@ bool JoinTree::IsPath(std::vector<AttrId>* path_attrs) const {
   return true;
 }
 
+std::vector<int> JoinTree::PathEdges(const std::vector<AttrId>& path) const {
+  std::vector<int> out;
+  for (size_t i = 0; i + 1 < path.size(); ++i) {
+    int found = -1;
+    for (int e = 0; e < num_edges() && found < 0; ++e) {
+      const QueryEdge& edge = edges_[static_cast<size_t>(e)];
+      if ((edge.u == path[i] && edge.v == path[i + 1]) ||
+          (edge.v == path[i] && edge.u == path[i + 1])) {
+        found = e;
+      }
+    }
+    CHECK_GE(found, 0) << "no edge between path attributes " << path[i]
+                       << " and " << path[i + 1];
+    out.push_back(found);
+  }
+  return out;
+}
+
 bool JoinTree::IsStarShaped(AttrId* center) const {
   if (num_edges() == 1) {
     if (center != nullptr) *center = edges_[0].u;

@@ -98,6 +98,11 @@ class JoinTree {
   // (an arbitrary one of the two orientations).
   bool IsPath(std::vector<AttrId>* path_attrs = nullptr) const;
 
+  // The edge between each consecutive pair of `path` (as IsPath fills
+  // it): entry i is the lowest edge index joining path[i] and path[i+1].
+  // CHECK-fails when a pair has no edge.
+  std::vector<int> PathEdges(const std::vector<AttrId>& path) const;
+
   // True iff all edges share one attribute (the center). For single-edge
   // queries returns true with either endpoint as center.
   bool IsStarShaped(AttrId* center = nullptr) const;

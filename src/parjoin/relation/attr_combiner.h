@@ -167,23 +167,10 @@ DistRelation<S> ExpandAttrs(mpc::Cluster& cluster, const DistRelation<S>& rel,
 
   // Drop the combined id (pure local projection, free).
   std::vector<AttrId> final_attrs;
-  std::vector<int> final_pos;
-  for (int i = 0; i < joined.schema.size(); ++i) {
-    if (joined.schema.attr(i) != combined_attr) {
-      final_attrs.push_back(joined.schema.attr(i));
-      final_pos.push_back(i);
-    }
+  for (AttrId a : joined.schema.attrs()) {
+    if (a != combined_attr) final_attrs.push_back(a);
   }
-  DistRelation<S> out;
-  out.schema = Schema(final_attrs);
-  out.data = mpc::Dist<Tuple<S>>(p);
-  for (int s = 0; s < p; ++s) {
-    out.data.part(s).reserve(joined.data.part(s).size());
-    for (const auto& t : joined.data.part(s)) {
-      out.data.part(s).push_back(Tuple<S>{t.row.Select(final_pos), t.w});
-    }
-  }
-  return out;
+  return ProjectLocal(joined, final_attrs);
 }
 
 }  // namespace parjoin

@@ -2,21 +2,6 @@
 
 namespace parjoin {
 
-std::vector<Value> CollectValuesAtLeast(mpc::Cluster& cluster,
-                                        const mpc::Dist<ValueCount>& degrees,
-                                        std::int64_t threshold) {
-  mpc::Dist<Value> heavy(degrees.num_parts());
-  for (int s = 0; s < degrees.num_parts(); ++s) {
-    for (const auto& vc : degrees.part(s)) {
-      if (vc.count >= threshold) heavy.part(s).push_back(vc.value);
-    }
-  }
-  std::vector<Value> gathered = mpc::Gather(cluster, heavy);
-  // Make the (small) heavy set known everywhere.
-  cluster.ChargeUniformRound(static_cast<std::int64_t>(gathered.size()));
-  return gathered;
-}
-
 std::unordered_map<Value, std::int64_t> CollectStatsAtLeast(
     mpc::Cluster& cluster, const mpc::Dist<ValueCount>& degrees,
     std::int64_t threshold) {
@@ -32,18 +17,6 @@ std::unordered_map<Value, std::int64_t> CollectStatsAtLeast(
   }
   cluster.ChargeUniformRound(gathered);
   return out;
-}
-
-ValueStatMap::ValueStatMap(mpc::Cluster& cluster,
-                           const mpc::Dist<ValueCount>& stats) {
-  std::vector<ValueCount> gathered;
-  for (const auto& part : stats.parts()) {
-    gathered.insert(gathered.end(), part.begin(), part.end());
-  }
-  // Gather + broadcast cost, charged as one round each.
-  cluster.ChargeUniformRound(static_cast<std::int64_t>(gathered.size()));
-  map_.reserve(gathered.size());
-  for (const auto& vc : gathered) map_[vc.value] = vc.count;
 }
 
 }  // namespace parjoin

@@ -1,6 +1,7 @@
 // Relational MPC operations built on the §2.1 primitives: hash
-// partitioning, aggregation (reduce-by-key over annotations), degree
-// statistics, semijoins, and the local join kernel.
+// partitioning, local projection and splitting, aggregation
+// (reduce-by-key over annotations), degree statistics, semijoins, and the
+// local join kernel.
 
 #ifndef PARJOIN_RELATION_OPS_H_
 #define PARJOIN_RELATION_OPS_H_
@@ -56,31 +57,93 @@ DistRelation<S> HashPartitionByAttrs(mpc::Cluster& cluster,
   return out;
 }
 
+// --- Local (free) reshaping -------------------------------------------------
+
+// Projects every tuple onto `target` (a subset of the schema) without
+// aggregating: purely local, so the result keeps rel's part count and
+// tuple order.
+template <SemiringC S>
+DistRelation<S> ProjectLocal(const DistRelation<S>& rel,
+                             const std::vector<AttrId>& target) {
+  const std::vector<int> positions = rel.schema.PositionsOf(target);
+  DistRelation<S> out;
+  out.schema = Schema(target);
+  out.data = mpc::Dist<Tuple<S>>(rel.data.num_parts());
+  for (int s = 0; s < rel.data.num_parts(); ++s) {
+    out.data.part(s).reserve(rel.data.part(s).size());
+    for (const auto& t : rel.data.part(s)) {
+      out.data.part(s).push_back(Tuple<S>{t.row.Select(positions), t.w});
+    }
+  }
+  return out;
+}
+
+// Splits `rel` by a per-tuple class of its column `pos`: tuple t goes to
+// class class_of(t.row[pos]) in [0, num_classes), or is dropped when that
+// is negative (a filter is one class). Purely local: every class keeps
+// rel's schema and part count, and tuples keep their part and order.
+template <SemiringC S, typename ClassOf>
+std::vector<DistRelation<S>> SplitByAttr(DistRelation<S> rel, int pos,
+                                         int num_classes, ClassOf class_of) {
+  std::vector<DistRelation<S>> out(static_cast<size_t>(num_classes));
+  for (auto& cls : out) {
+    cls.schema = rel.schema;
+    cls.data = mpc::Dist<Tuple<S>>(rel.data.num_parts());
+  }
+  for (int s = 0; s < rel.data.num_parts(); ++s) {
+    for (auto& t : rel.data.part(s)) {
+      const int cls = class_of(t.row[pos]);
+      if (cls >= 0) {
+        out[static_cast<size_t>(cls)].data.part(s).push_back(std::move(t));
+      }
+    }
+  }
+  return out;
+}
+
 // --- Aggregation ------------------------------------------------------------
 
+// ⊕-sums the annotations of equal rows into p parts: the paper's
+// "aggregation computed as reduce-by-key" (§2.1). As-executed load:
+// O(M/p) for M locally-distinct rows.
+template <SemiringC S>
+mpc::Dist<Tuple<S>> ReduceByRow(mpc::Cluster& cluster, mpc::Dist<Tuple<S>> in) {
+  return mpc::ReduceByKey(
+      cluster, std::move(in),
+      [](const Tuple<S>& t) -> const Row& { return t.row; },
+      [](Tuple<S>* acc, const Tuple<S>& t) { acc->w = S::Plus(acc->w, t.w); });
+}
+
 // Q_y-style aggregation: projects every tuple to `group_attrs` and ⊕-sums
-// annotations per projected row. This is the paper's "aggregation computed
-// as reduce-by-key". As-executed load: O(M/p) for M locally-distinct
-// groups.
+// annotations per projected row.
 template <SemiringC S>
 DistRelation<S> AggregateByAttrs(mpc::Cluster& cluster,
                                  const DistRelation<S>& rel,
                                  const std::vector<AttrId>& group_attrs) {
-  const std::vector<int> positions = rel.schema.PositionsOf(group_attrs);
-  mpc::Dist<Tuple<S>> projected(rel.data.num_parts());
-  for (int s = 0; s < rel.data.num_parts(); ++s) {
-    auto& out_part = projected.part(s);
-    out_part.reserve(rel.data.part(s).size());
-    for (const auto& t : rel.data.part(s)) {
-      out_part.push_back(Tuple<S>{t.row.Select(positions), t.w});
+  DistRelation<S> out = ProjectLocal(rel, group_attrs);
+  out.data = ReduceByRow(cluster, std::move(out.data));
+  return out;
+}
+
+// Unions same-schema result fragments and ⊕-sums equal rows into p parts
+// (the "aggregate all subqueries" step). The union itself is free: the
+// fragments' parts are concatenated in order, so every tuple stays on the
+// server that produced it; only the reduce is charged.
+template <SemiringC S>
+DistRelation<S> ReduceUnion(mpc::Cluster& cluster,
+                            std::vector<DistRelation<S>> results,
+                            const Schema& schema) {
+  mpc::Dist<Tuple<S>> merged(0);
+  for (auto& r : results) {
+    CHECK(r.schema == schema);
+    for (auto& part : r.data.parts()) {
+      merged.parts().push_back(std::move(part));
     }
   }
+  if (merged.num_parts() == 0) merged = mpc::Dist<Tuple<S>>(cluster.p());
   DistRelation<S> out;
-  out.schema = Schema(group_attrs);
-  out.data = mpc::ReduceByKey(
-      cluster, std::move(projected),
-      [](const Tuple<S>& t) -> const Row& { return t.row; },
-      [](Tuple<S>* acc, const Tuple<S>& t) { acc->w = S::Plus(acc->w, t.w); });
+  out.schema = schema;
+  out.data = ReduceByRow(cluster, std::move(merged));
   return out;
 }
 
@@ -107,40 +170,12 @@ mpc::Dist<ValueCount> DegreesByAttr(mpc::Cluster& cluster,
       [](ValueCount* acc, const ValueCount& vc) { acc->count += vc.count; });
 }
 
-// Extracts the values with count >= threshold and makes them known to every
-// server (gather + broadcast; as-executed — callers rely on the paper's
-// guarantee that heavy sets are small, |heavy| <= N/threshold).
-std::vector<Value> CollectValuesAtLeast(mpc::Cluster& cluster,
-                                        const mpc::Dist<ValueCount>& degrees,
-                                        std::int64_t threshold);
-
 // Gathers and broadcasts the (value, count) entries with count >= threshold
 // as a lookup map. Charged as one small broadcast round; callers rely on
 // the paper's guarantee that the set is small (<= N/threshold).
 std::unordered_map<Value, std::int64_t> CollectStatsAtLeast(
     mpc::Cluster& cluster, const mpc::Dist<ValueCount>& degrees,
     std::int64_t threshold);
-
-// Broadcast-friendly lookup table of per-value statistics, built by
-// gathering and broadcasting a Dist<ValueCount> (charged as-executed).
-// Only use when the statistic list is small (heavy values, group counts).
-class ValueStatMap {
- public:
-  ValueStatMap(mpc::Cluster& cluster, const mpc::Dist<ValueCount>& stats);
-
-  // Returns the count for `v`, or `fallback` if absent.
-  std::int64_t CountOr(Value v, std::int64_t fallback) const {
-    auto it = map_.find(v);
-    return it == map_.end() ? fallback : it->second;
-  }
-
-  bool Contains(Value v) const { return map_.find(v) != map_.end(); }
-  std::int64_t size() const { return static_cast<std::int64_t>(map_.size()); }
-  const std::unordered_map<Value, std::int64_t>& map() const { return map_; }
-
- private:
-  std::unordered_map<Value, std::int64_t> map_;
-};
 
 // --- Semijoin ---------------------------------------------------------------
 

@@ -55,6 +55,13 @@ struct OutEstimate {
   }
 };
 
+// Repetitions for the estimates the planner and the algorithms make along
+// the way (plan scoring, star-like branching, tree x(b), matmul per-group
+// columns). The §2.2 default (repetitions = 0 below) grows with log N for
+// the w.h.p. guarantee; a constant keeps these rounds a small fraction of
+// execution.
+inline constexpr int kFixedEstimateRepetitions = 5;
+
 namespace internal_sketch {
 
 // (key value, sketch) pair flowing through reduce-by-key.

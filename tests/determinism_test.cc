@@ -46,6 +46,7 @@ struct PrimitiveTrace {
   std::vector<std::vector<KV>> sorted;
   std::vector<std::vector<KV>> grouped;
   std::vector<std::vector<KV>> exchanged;
+  std::vector<std::vector<KV>> replicated;
   std::vector<std::vector<KV>> reduced;
   mpc::Cluster::Stats stats;
 };
@@ -69,6 +70,23 @@ PrimitiveTrace RunPrimitives(int threads) {
                           Mix64(static_cast<std::uint64_t>(kv.first)) %
                           static_cast<std::uint64_t>(p));
                     }).parts();
+  // Two or three destinations per item, some repeated and some on
+  // virtual servers past p: the replicating router's threaded path must
+  // deliver exactly the sequential order.
+  trace.replicated =
+      mpc::ExchangeMulti(c, input, 2 * p,
+                         [p](const KV& kv, std::vector<int>* dests) {
+                           const std::uint64_t h = Mix64(
+                               static_cast<std::uint64_t>(kv.first));
+                           dests->push_back(static_cast<int>(
+                               h % static_cast<std::uint64_t>(2 * p)));
+                           dests->push_back(static_cast<int>(
+                               (h >> 20) % static_cast<std::uint64_t>(p)));
+                           if (kv.second % 3 == 0) {
+                             dests->push_back(dests->front());
+                           }
+                         })
+          .parts();
   trace.reduced = mpc::ReduceByKey(
                       c, input, [](const KV& kv) { return kv.first; },
                       [](KV* acc, const KV& kv) { acc->second += kv.second; })
@@ -85,6 +103,8 @@ TEST(DeterminismTest, PrimitivesMatchSequentialBitForBit) {
     EXPECT_EQ(threaded.sorted, sequential.sorted) << "threads=" << threads;
     EXPECT_EQ(threaded.grouped, sequential.grouped) << "threads=" << threads;
     EXPECT_EQ(threaded.exchanged, sequential.exchanged)
+        << "threads=" << threads;
+    EXPECT_EQ(threaded.replicated, sequential.replicated)
         << "threads=" << threads;
     EXPECT_EQ(threaded.reduced, sequential.reduced) << "threads=" << threads;
     EXPECT_EQ(threaded.stats.rounds, sequential.stats.rounds);

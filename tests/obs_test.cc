@@ -11,6 +11,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -183,6 +186,24 @@ TEST(TraceTest, ParseRejectsMalformedTraces) {
   EXPECT_FALSE(bad_line.ok());
   EXPECT_NE(bad_line.message().find("line 2"), std::string::npos)
       << bad_line;
+
+  // seq, round and server are ints: a wider value is a typed error, not a
+  // silent wrap.
+  auto trace_with_round = [](const std::string& round) {
+    return obs::ParseTraceJsonl(
+        "{\"type\":\"meta\",\"schema\":\"parjoin-trace-v1\","
+        "\"label\":\"x\"}\n"
+        "{\"type\":\"round\",\"seq\":0,\"round\":" +
+        round +
+        ",\"scope\":\"\",\"max_load\":1,\"tuples\":1,"
+        "\"recovery\":false,\"straggle\":1,\"wall_ms\":0}\n");
+  };
+  ASSERT_TRUE(trace_with_round("3").ok()) << trace_with_round("3").status();
+  for (const char* round : {"3000000000", "1e30"}) {
+    const Status st = trace_with_round(round).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << round << ": " << st;
+    EXPECT_NE(st.message().find("'round'"), std::string::npos) << st;
+  }
 }
 
 plan::ExecutionRecord MakeRecord(plan::Algorithm a, QueryShape shape,
@@ -248,6 +269,22 @@ TEST(ProfileTest, JsonRoundTripsExactlyAndFileMergeIsStable) {
   EXPECT_TRUE(*loaded == store);
 }
 
+// Replaces the first occurrence of `from` in `text` (which must occur).
+std::string ReplaceOnce(std::string text, const std::string& from,
+                        const std::string& to) {
+  const size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from << " not in " << text;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+void WriteFile(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+}
+
 TEST(ProfileTest, LoadOrEmptyToleratesOnlyMissingFiles) {
   auto missing = obs::ProfileStore::LoadOrEmpty(
       ::testing::TempDir() + "/obs_test_does_not_exist.json");
@@ -255,13 +292,43 @@ TEST(ProfileTest, LoadOrEmptyToleratesOnlyMissingFiles) {
   EXPECT_TRUE(missing->empty());
 
   const std::string path = ::testing::TempDir() + "/obs_test_garbage.json";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a profile\n", f);
-    std::fclose(f);
-  }
+  WriteFile(path, "not a profile\n");
   EXPECT_FALSE(obs::ProfileStore::LoadOrEmpty(path).ok());
+}
+
+TEST(ProfileTest, OutOfRangeIntegersAreTypedErrors) {
+  obs::ProfileStore store;
+  store.RecordExecution(MakeRecord(plan::Algorithm::kMatMulWorstCase,
+                                   QueryShape::kMatMul, 10, 20));
+  const std::string json = store.ToJson();
+  ASSERT_TRUE(obs::ProfileStore::FromJson(json).ok());
+
+  // p is narrowed to int: 3000000000 must not wrap to a negative key.
+  const std::string path = ::testing::TempDir() + "/obs_test_wide_p.json";
+  WriteFile(path, ReplaceOnce(json, "\"p\":4,", "\"p\":3000000000,"));
+  const Status wide_p = obs::ProfileStore::LoadFile(path).status();
+  EXPECT_EQ(wide_p.code(), StatusCode::kInvalidArgument) << wide_p;
+  EXPECT_NE(wide_p.message().find("'p'"), std::string::npos) << wide_p;
+
+  for (const char* runs : {"1e30", "-1e30", "9.3e18"}) {
+    const Status st = obs::ProfileStore::FromJson(
+                          ReplaceOnce(json, "\"runs\":1,",
+                                      std::string("\"runs\":") + runs + ","))
+                          .status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << runs << ": " << st;
+  }
+
+  plan::CalibrationTable table;
+  table.SetDefault(plan::Algorithm::kMatMulOutputSensitive, 2.5, 12);
+  const std::string calib_path =
+      ::testing::TempDir() + "/obs_test_wide_calibration.json";
+  ASSERT_TRUE(obs::SaveCalibrationFile(table, calib_path).ok());
+  std::ostringstream calib_text;
+  calib_text << std::ifstream(calib_path).rdbuf();
+  WriteFile(calib_path, ReplaceOnce(calib_text.str(), "\"runs\":12",
+                                    "\"runs\":1e30"));
+  const Status calib = obs::LoadCalibrationFile(calib_path).status();
+  EXPECT_EQ(calib.code(), StatusCode::kInvalidArgument) << calib;
 }
 
 TEST(ProfileTest, DropsSamplesWithoutALearnableRatio) {
@@ -488,6 +555,32 @@ TEST(JsonUtilTest, FlatObjectsRoundTrip) {
   EXPECT_FALSE(obs::ParseFlatJsonObject("{\"a\":{}}", "t").ok());  // nested
   EXPECT_FALSE(obs::ParseFlatJsonObject("{\"a\":1,\"a\":2}", "t").ok());
   EXPECT_FALSE(obs::ParseFlatJsonObject("{\"a\":1} x", "t").ok());
+}
+
+TEST(JsonUtilTest, OutOfRangeIntegersAreTypedErrors) {
+  // The cast to int64 is checked first: none of these may reach it.
+  for (const char* text : {"1e30", "-1e30", "9.3e18", "9223372036854775808"}) {
+    auto parsed = obs::ParseFlatJsonObject(
+        std::string("{\"runs\":") + text + "}", "t");
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const Status st = obs::GetInt(*parsed, "runs", "t").status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << text << ": " << st;
+    EXPECT_NE(st.message().find("out of range"), std::string::npos) << st;
+  }
+  auto edges = obs::ParseFlatJsonObject(
+      "{\"lo\":-9223372036854775808,\"p\":3000000000,\"q\":-7}", "t");
+  ASSERT_TRUE(edges.ok()) << edges.status();
+  auto lo = obs::GetInt(*edges, "lo", "t");
+  ASSERT_TRUE(lo.ok()) << lo.status();
+  EXPECT_EQ(*lo, std::numeric_limits<std::int64_t>::min());
+  auto p64 = obs::GetInt(*edges, "p", "t");
+  ASSERT_TRUE(p64.ok()) << p64.status();
+  EXPECT_EQ(*p64, 3000000000);
+  const Status p32 = obs::GetInt32(*edges, "p", "t").status();
+  EXPECT_EQ(p32.code(), StatusCode::kInvalidArgument) << p32;
+  auto q = obs::GetInt32(*edges, "q", "t");
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(*q, -7);
 }
 
 TEST(JsonUtilTest, DoublesPrintShortestRoundTrip) {

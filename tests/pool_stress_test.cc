@@ -98,18 +98,20 @@ TEST_F(PoolStressTest, NestedParallelForMatchesSequential) {
 TEST_F(PoolStressTest, ManyRegionsInterleavedWithNestingAndWidthOne) {
   // Mix degenerate widths, nesting, and reconfiguration — the pattern the
   // simulator's per-round primitives actually produce.
-  std::atomic<std::int64_t> sum{0};
-  std::int64_t expected = 0;
+  // The sums wrap, so they are unsigned (signed overflow is UB).
+  auto work = [](int i) { return static_cast<std::uint64_t>(Work(i)); };
+  std::atomic<std::uint64_t> sum{0};
+  std::uint64_t expected = 0;
   for (int r = 0; r < 2000; ++r) {
     SetParallelForThreads(1 + r % 4);
     const int width = 1 + r % 7;
     ParallelFor(width, [&](int i) {
-      std::int64_t local = 0;
-      ParallelFor(3, [&](int j) { local += Work(i + j); });
+      std::uint64_t local = 0;
+      ParallelFor(3, [&](int j) { local += work(i + j); });
       sum.fetch_add(local, std::memory_order_relaxed);
     });
     for (int i = 0; i < width; ++i) {
-      for (int j = 0; j < 3; ++j) expected += Work(i + j);
+      for (int j = 0; j < 3; ++j) expected += work(i + j);
     }
   }
   EXPECT_EQ(sum.load(), expected);

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -83,15 +84,23 @@ TEST(DegreesTest, CountsPerValue) {
   EXPECT_EQ(got, (std::map<Value, std::int64_t>{{5, 3}, {7, 1}}));
 }
 
-TEST(CollectValuesAtLeastTest, FiltersByThreshold) {
+TEST(CollectStatsAtLeastTest, FiltersByThresholdInOneChargedRound) {
   mpc::Cluster cluster(4);
   Relation<S> rel(Schema{0, 1});
   for (int i = 0; i < 10; ++i) rel.Add(Row{i, 100}, 1);
+  for (int i = 0; i < 5; ++i) rel.Add(Row{i, 300}, 1);
   for (int i = 0; i < 3; ++i) rel.Add(Row{i, 200}, 1);
   auto degrees = DegreesByAttr(cluster, Distribute(cluster, rel), 1);
-  auto heavy = CollectValuesAtLeast(cluster, degrees, 5);
-  ASSERT_EQ(heavy.size(), 1u);
-  EXPECT_EQ(heavy[0], 100);
+  cluster.ResetStats();
+  // The threshold is inclusive: 300 (count 5) is heavy, 200 (count 3) not.
+  const auto heavy = CollectStatsAtLeast(cluster, degrees, 5);
+  EXPECT_EQ(heavy, (std::unordered_map<Value, std::int64_t>{{100, 10},
+                                                            {300, 5}}));
+  // Making the heavy set known everywhere is one round of |heavy| per
+  // server.
+  EXPECT_EQ(cluster.stats().rounds, 1);
+  EXPECT_EQ(cluster.stats().max_load, 2);
+  EXPECT_EQ(cluster.stats().total_comm, 2 * 4);
 }
 
 TEST(SemijoinTest, KeepsOnlyMatching) {

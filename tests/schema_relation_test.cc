@@ -1,6 +1,8 @@
 // Unit tests for Schema, Relation normalization semantics, distribution,
-// and the remaining relational-op helpers (ValueStatMap, JoinedSchema,
-// LocalJoinInto corner cases).
+// and the remaining relational-op helpers (CollectStatsAtLeast,
+// JoinedSchema, LocalJoinInto corner cases).
+
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -105,18 +107,23 @@ TEST(DistributeTest, SpreadsEvenlyAndRoundTrips) {
   EXPECT_TRUE(back == rel);
 }
 
-TEST(ValueStatMapTest, BroadcastsAndLooksUp) {
+TEST(CollectStatsAtLeastTest, ThresholdOneBroadcastsEveryCount) {
   mpc::Cluster cluster(4);
   Relation<S> rel(Schema{0, 1});
   for (int i = 0; i < 6; ++i) rel.Add(Row{i % 2, i}, 1);
   auto degrees = DegreesByAttr(cluster, Distribute(cluster, rel), 0);
-  ValueStatMap stats(cluster, degrees);
-  EXPECT_EQ(stats.CountOr(0, -1), 3);
-  EXPECT_EQ(stats.CountOr(1, -1), 3);
-  EXPECT_EQ(stats.CountOr(42, -1), -1);
-  EXPECT_TRUE(stats.Contains(0));
-  EXPECT_FALSE(stats.Contains(42));
-  EXPECT_EQ(stats.size(), 2);
+  cluster.ResetStats();
+  const auto stats = CollectStatsAtLeast(cluster, degrees, 1);
+  EXPECT_EQ(stats, (std::unordered_map<Value, std::int64_t>{{0, 3}, {1, 3}}));
+  EXPECT_EQ(cluster.stats().rounds, 1);
+  EXPECT_EQ(cluster.stats().max_load, 2);
+  EXPECT_EQ(cluster.stats().total_comm, 2 * 4);
+
+  // Nothing reaches the threshold: the (empty) round is still charged.
+  cluster.ResetStats();
+  EXPECT_TRUE(CollectStatsAtLeast(cluster, degrees, 4).empty());
+  EXPECT_EQ(cluster.stats().rounds, 1);
+  EXPECT_EQ(cluster.stats().total_comm, 0);
 }
 
 TEST(LocalJoinTest, CartesianWhenKeyMatchesEverything) {
