@@ -46,21 +46,19 @@ void AblateJoinSkewHandling() {
     std::int64_t join_size = 0;
     bench::RunResult with = bench::Measure(32, 1, [&](mpc::Cluster& c) {
       auto instance = make(c);
-      c.ResetStats();
       auto j = TwoWayJoin(c, instance.relations[0], instance.relations[1]);
       join_size = j.TotalSize();
     });
     bench::RunResult without = bench::Measure(32, 1, [&](mpc::Cluster& c) {
       auto instance = make(c);
-      c.ResetStats();
       TwoWayJoinOptions options;
       options.handle_skew = false;
       TwoWayJoin(c, instance.relations[0], instance.relations[1], options);
     });
-    table.AddRow({Fmt(skew), Fmt(join_size), Fmt(with.load),
-                  Fmt(without.load),
-                  bench::Ratio(static_cast<double>(without.load),
-                               static_cast<double>(with.load))});
+    table.AddRow({Fmt(skew), Fmt(join_size), Fmt(with.stats.max_load),
+                  Fmt(without.stats.max_load),
+                  bench::Ratio(static_cast<double>(without.stats.max_load),
+                               static_cast<double>(with.stats.max_load))});
   }
   table.Print(std::cout);
   std::cout << std::endl;
@@ -85,19 +83,18 @@ void AblateMatMulDecomposition() {
     std::int64_t out = 0;
     bench::RunResult ours = bench::Measure(32, 1, [&](mpc::Cluster& c) {
       auto instance = make(c);
-      c.ResetStats();
       auto r = MatMul(c, std::move(instance.relations[0]),
                       std::move(instance.relations[1]));
       out = r.TotalSize();
     });
     bench::RunResult yann = bench::Measure(32, 1, [&](mpc::Cluster& c) {
       auto instance = make(c);
-      c.ResetStats();
       YannakakisJoinAggregate(c, std::move(instance));
     });
-    table.AddRow({Fmt(skew), Fmt(out), Fmt(ours.load), Fmt(yann.load),
-                  bench::Ratio(static_cast<double>(yann.load),
-                               static_cast<double>(ours.load))});
+    table.AddRow({Fmt(skew), Fmt(out), Fmt(ours.stats.max_load),
+                  Fmt(yann.stats.max_load),
+                  bench::Ratio(static_cast<double>(yann.stats.max_load),
+                               static_cast<double>(ours.stats.max_load))});
   }
   table.Print(std::cout);
   std::cout << std::endl;

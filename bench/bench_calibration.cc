@@ -136,11 +136,6 @@ int main() {
                   plan::AlgorithmName(best->algorithm),
                   corrected ? "yes" : "-", FmtFactor(chosen_factor)});
 
-    bench::RunResult run = bench::Measure(kP, kSeed, [&](mpc::Cluster& c) {
-      TreeInstance<S> inst = GenMatMulBlocks<S>(c, cfg);
-      c.ResetStats();
-      plan::DispatchAlgorithm(c, plan.chosen, std::move(inst));
-    });
     bench::BenchJsonEntry entry;
     entry.experiment = "E8";
     entry.name = "calibration/out=" + std::to_string(cfg.out()) +
@@ -148,14 +143,19 @@ int main() {
     entry.n = cfg.n1() + cfg.n2();
     entry.p = kP;
     entry.threads = ParallelForThreads();
-    entry.result = run;
-    entry.calibration.present = true;
-    entry.calibration.chosen_unit = plan::AlgorithmName(unit_plan.chosen);
-    entry.calibration.chosen_calibrated = plan::AlgorithmName(plan.chosen);
-    entry.calibration.measured_best = plan::AlgorithmName(best->algorithm);
-    entry.calibration.corrected = corrected ? 1 : 0;
-    entry.calibration.calib_factor = chosen_factor;
-    json_entries.push_back(entry);
+    entry.result = bench::Measure(kP, kSeed, [&](mpc::Cluster& c) {
+      plan::DispatchAlgorithm(c, plan.chosen, GenMatMulBlocks<S>(c, cfg));
+    });
+    entry.columns = {
+        bench::StringColumn("chosen_unit",
+                            plan::AlgorithmName(unit_plan.chosen)),
+        bench::StringColumn("chosen_calibrated",
+                            plan::AlgorithmName(plan.chosen)),
+        bench::StringColumn("measured_best",
+                            plan::AlgorithmName(best->algorithm)),
+        bench::IntColumn("corrected", corrected ? 1 : 0),
+        bench::FixedColumn("calib_factor", chosen_factor, 4)};
+    json_entries.push_back(std::move(entry));
   }
   table.Print(std::cout);
   std::cout << "\n"
@@ -163,13 +163,5 @@ int main() {
             << corrected_total << " corrected by calibration\n"
             << std::endl;
 
-  const std::string json_path = bench::BenchJsonPath();
-  std::string error;
-  if (bench::UpdateBenchJson(json_path, "E8", json_entries, &error)) {
-    std::cout << "wrote " << json_entries.size() << " E8 entries to "
-              << json_path << "\n";
-  } else {
-    std::cerr << "BENCH json: " << error << "\n";
-  }
-  return 0;
+  return bench::WriteBenchJson("E8", json_entries) ? 0 : 1;
 }

@@ -44,20 +44,18 @@ int main() {
     bench::RunResult yann = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = GenTreeRandom<S>(c, Fig1StarLikeQuery(), tuples, dom, 3);
       n_total = instance.TotalInputSize();
-      c.ResetStats();
       auto r = YannakakisJoinAggregate(c, std::move(instance));
       out_measured = r.TotalSize();
     });
     bench::RunResult ours = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = GenTreeRandom<S>(c, Fig1StarLikeQuery(), tuples, dom, 3);
-      c.ResetStats();
       StarLikeAggregate(c, std::move(instance));
     });
     table.AddRow(
-        {Fmt(tuples), Fmt(n_total), Fmt(out_measured), Fmt(yann.load),
-         Fmt(ours.load),
-         bench::Ratio(static_cast<double>(yann.load),
-                      static_cast<double>(ours.load)),
+        {Fmt(tuples), Fmt(n_total), Fmt(out_measured), Fmt(yann.stats.max_load),
+         Fmt(ours.stats.max_load),
+         bench::Ratio(static_cast<double>(yann.stats.max_load),
+                      static_cast<double>(ours.stats.max_load)),
          Fmt(plan::NewLineStarBound(tuples, out_measured, p)),
          Fmt(ours.wall_ms)});
   }

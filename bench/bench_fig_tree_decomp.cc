@@ -71,7 +71,6 @@ int main() {
   TablePrinter load_table({"twig", "shape", "load", "rounds", "out"});
   for (size_t i = 0; i < twigs.size(); ++i) {
     std::int64_t out = 0;
-    int rounds = 0;
     std::string shape;
     bench::RunResult r = bench::Measure(32, 1, [&](mpc::Cluster& c) {
       auto instance = GenTreeRandom<S>(c, Fig2Query(), 200, 100, 7);
@@ -83,13 +82,12 @@ int main() {
         sub_instance.relations.push_back(
             std::move(instance.relations[static_cast<size_t>(e)]));
       }
-      c.ResetStats();
       auto result = internal_tree::ComputeTwig(c, std::move(sub_instance));
       out = result.TotalSize();
-      rounds = c.stats().rounds;
     });
     load_table.AddRow({Fmt(static_cast<std::int64_t>(i + 1)), shape,
-                       Fmt(r.load), Fmt(static_cast<std::int64_t>(rounds)),
+                       Fmt(r.stats.max_load),
+                       Fmt(static_cast<std::int64_t>(r.stats.rounds)),
                        Fmt(out)});
   }
   load_table.Print(std::cout);

@@ -39,14 +39,13 @@ int main() {
       std::int64_t out = 0;
       bench::RunResult r = bench::Measure(p, 1, [&](mpc::Cluster& c) {
         auto instance = GenLowerBoundThm2<S>(c, n1, n2);
-        c.ResetStats();
         auto result = MatMul(c, std::move(instance.relations[0]),
                              std::move(instance.relations[1]));
         out = result.TotalSize();
       });
       const double lb = static_cast<double>(n1 + n2) / p;
-      table.AddRow({Fmt(n1), Fmt(n2), Fmt(out), Fmt(r.load), Fmt(lb),
-                    bench::Ratio(static_cast<double>(r.load), lb)});
+      table.AddRow({Fmt(n1), Fmt(n2), Fmt(out), Fmt(r.stats.max_load), Fmt(lb),
+                    bench::Ratio(static_cast<double>(r.stats.max_load), lb)});
     }
     table.Print(std::cout);
     std::cout << std::endl;
@@ -70,15 +69,14 @@ int main() {
         auto instance = GenLowerBoundThm3<S>(c, n, n, out);
         n1 = instance.relations[0].TotalSize();
         n2 = instance.relations[1].TotalSize();
-        c.ResetStats();
         auto result = MatMul(c, std::move(instance.relations[0]),
                              std::move(instance.relations[1]));
         out_measured = result.TotalSize();
       });
       const double lb = plan::MatMulLowerBound(n1, n2, out_measured, p);
-      table.AddRow({Fmt(n1), Fmt(n2), Fmt(out_measured), Fmt(r.load),
+      table.AddRow({Fmt(n1), Fmt(n2), Fmt(out_measured), Fmt(r.stats.max_load),
                     Fmt(lb),
-                    bench::Ratio(static_cast<double>(r.load), lb)});
+                    bench::Ratio(static_cast<double>(r.stats.max_load), lb)});
     }
     table.Print(std::cout);
     std::cout << std::endl;

@@ -45,7 +45,6 @@ int main() {
     auto run = [&](MatMulStrategy strategy) {
       return bench::Measure(p, 1, [&](mpc::Cluster& c) {
         auto instance = GenMatMulBlocks<S>(c, cfg);
-        c.ResetStats();
         MatMulOptions options;
         options.strategy = strategy;
         MatMul(c, std::move(instance.relations[0]),
@@ -58,8 +57,8 @@ int main() {
     const double bound_wc = plan::MatMulWorstCaseTerm(cfg.n1(), cfg.n2(), p);
     const double bound_os =
         plan::MatMulOutputSensitiveTerm(cfg.n1(), cfg.n2(), cfg.out(), p);
-    table.AddRow({Fmt(cfg.out()), Fmt(wc.load), Fmt(os.load),
-                  Fmt(autod.load),
+    table.AddRow({Fmt(cfg.out()), Fmt(wc.stats.max_load),
+                  Fmt(os.stats.max_load), Fmt(autod.stats.max_load),
                   bound_wc <= bound_os ? "worst-case" : "output-sensitive",
                   Fmt(bound_wc), Fmt(bound_os)});
   }

@@ -37,22 +37,20 @@ int main() {
 
   auto report = [&](const std::string& family, int chain_len,
                     auto make_instance, std::vector<AttrId> path) {
-    std::int64_t n_total = 0, out_true = 0, out_est = 0, load = 0;
-    bench::Measure(p, 1, [&](mpc::Cluster& c) {
+    std::int64_t n_total = 0, out_true = 0, out_est = 0;
+    const bench::RunResult r = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = make_instance(c);
       n_total = instance.TotalInputSize();
       Relation<S> truth = EvaluateReference(instance);
       out_true = truth.size();
-      c.ResetStats();
       OutEstimate est = EstimateChainOut(c, instance.relations, path);
       out_est = est.total;
-      load = c.stats().max_load;
     });
     table.AddRow({family, Fmt(static_cast<std::int64_t>(chain_len)),
                   Fmt(n_total), Fmt(out_true), Fmt(out_est),
                   bench::Ratio(static_cast<double>(out_est),
                                static_cast<double>(out_true)),
-                  Fmt(load), Fmt(n_total / p)});
+                  Fmt(r.stats.max_load), Fmt(n_total / p)});
   };
 
   for (double skew : {0.0, 0.5, 1.0}) {

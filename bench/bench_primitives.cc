@@ -11,6 +11,7 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -108,6 +109,12 @@ struct SweepOutcome {
   std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> parts;
 };
 
+// The ledger columns a BENCH_parjoin.json row carries.
+auto LedgerColumns(const mpc::Cluster::Stats& s) {
+  return std::tie(s.max_load, s.rounds, s.total_comm, s.critical_path,
+                  s.recovery_comm);
+}
+
 void RunThreadSweep(std::vector<bench::BenchJsonEntry>* json_entries) {
   const std::int64_t n = 1 << 20;
   const int p = 64;
@@ -155,24 +162,21 @@ void RunThreadSweep(std::vector<bench::BenchJsonEntry>* json_entries) {
       Stopwatch watch;
       SweepOutcome outcome = primitive(c, input);
       outcome.result.wall_ms = watch.ElapsedMillis();
-      outcome.result.load = c.stats().max_load;
-      outcome.result.rounds = c.stats().rounds;
-      outcome.result.total_comm = c.stats().total_comm;
+      outcome.result.stats = c.stats();
+      const mpc::Cluster::Stats& s = outcome.result.stats;
       if (threads == 1) {
         sequential = outcome;
       } else {
         CHECK(outcome.parts == sequential.parts)
             << name << ": output differs at threads=" << threads;
-        CHECK_EQ(outcome.result.load, sequential.result.load);
-        CHECK_EQ(outcome.result.rounds, sequential.result.rounds);
-        CHECK_EQ(outcome.result.total_comm, sequential.result.total_comm);
+        CHECK(LedgerColumns(s) == LedgerColumns(sequential.result.stats))
+            << name << ": ledger differs at threads=" << threads;
       }
       table.AddRow({name, Fmt(static_cast<std::int64_t>(threads)),
                     Fmt(outcome.result.wall_ms),
                     bench::Ratio(sequential.result.wall_ms,
                                  outcome.result.wall_ms),
-                    Fmt(outcome.result.load),
-                    Fmt(static_cast<std::int64_t>(outcome.result.rounds))});
+                    Fmt(s.max_load), Fmt(static_cast<std::int64_t>(s.rounds))});
       bench::BenchJsonEntry entry;
       entry.experiment = "E10";
       entry.name = name + "/n=1048576/p=64/threads=" + std::to_string(threads);
@@ -189,23 +193,27 @@ void RunThreadSweep(std::vector<bench::BenchJsonEntry>* json_entries) {
 }
 
 void PrintLinearLoadTable() {
-  using parjoin::bench::Ratio;
   std::cout << "\nLinear-load property (N = 2^18, p = 64; ratio = measured "
                "load / (N/p)):\n";
   TablePrinter table({"primitive", "load", "N/p", "ratio", "rounds"});
   const std::int64_t n = 1 << 18;
   const int p = 64;
   const std::int64_t per = n / p;
+  const auto add_row = [&](const std::string& primitive,
+                           const mpc::Cluster& c, std::int64_t base) {
+    const mpc::Cluster::Stats& s = c.stats();
+    table.AddRow({primitive, Fmt(s.max_load), Fmt(base),
+                  bench::Ratio(static_cast<double>(s.max_load),
+                               static_cast<double>(base)),
+                  Fmt(static_cast<std::int64_t>(s.rounds))});
+  };
 
   {
     mpc::Cluster c(p);
     auto dist = mpc::ScatterEvenly(MakePairs(n, n, 1), p);
     mpc::Sort(c, dist,
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    table.AddRow({"sort", Fmt(c.stats().max_load), Fmt(per),
-                  Ratio(static_cast<double>(c.stats().max_load),
-                        static_cast<double>(per)),
-                  Fmt(static_cast<std::int64_t>(c.stats().rounds))});
+    add_row("sort", c, per);
   }
   {
     mpc::Cluster c(p);
@@ -213,11 +221,7 @@ void PrintLinearLoadTable() {
     mpc::ReduceByKey(
         c, dist, [](const auto& kv) { return kv.first; },
         [](auto* acc, const auto& kv) { acc->second += kv.second; });
-    table.AddRow({"reduce-by-key (64 keys)", Fmt(c.stats().max_load),
-                  Fmt(per),
-                  Ratio(static_cast<double>(c.stats().max_load),
-                        static_cast<double>(per)),
-                  Fmt(static_cast<std::int64_t>(c.stats().rounds))});
+    add_row("reduce-by-key (64 keys)", c, per);
   }
   {
     mpc::Cluster c(p);
@@ -227,11 +231,7 @@ void PrintLinearLoadTable() {
       items.push_back({i, rng.UniformDouble() * 0.9 + 0.05, -1});
     }
     mpc::ParallelPacking(c, std::move(items));
-    table.AddRow({"parallel-packing", Fmt(c.stats().max_load),
-                  Fmt(n / 16 / p),
-                  Ratio(static_cast<double>(c.stats().max_load),
-                        static_cast<double>(n / 16 / p)),
-                  Fmt(static_cast<std::int64_t>(c.stats().rounds))});
+    add_row("parallel-packing", c, n / 16 / p);
   }
   {
     mpc::Cluster c(p);
@@ -241,13 +241,8 @@ void PrintLinearLoadTable() {
     cfg.dom_b = n / 32;
     cfg.dom_c = n / 8;
     auto instance = GenMatMulRandom<CountingSemiring>(c, cfg);
-    c.ResetStats();
     RemoveDangling(c, &instance);
-    table.AddRow({"remove-dangling (matmul)", Fmt(c.stats().max_load),
-                  Fmt(per),
-                  Ratio(static_cast<double>(c.stats().max_load),
-                        static_cast<double>(per)),
-                  Fmt(static_cast<std::int64_t>(c.stats().rounds))});
+    add_row("remove-dangling (matmul)", c, per);
   }
   table.Print(std::cout);
   std::cout << std::endl;
@@ -344,10 +339,7 @@ void RunFixRoundSweep(std::vector<bench::BenchJsonEntry>* json_entries) {
           c, input, [](const auto& kv) { return kv.first; },
           [](auto* acc, const auto& kv) { acc->second += kv.second; });
       CHECK_EQ(static_cast<std::int64_t>(out.TotalSize()), keys);
-      result.load = c.stats().max_load;
-      result.rounds = c.stats().rounds;
-      result.total_comm = c.stats().total_comm;
-      result.critical_path = c.stats().critical_path;
+      result.stats = c.stats();
     }
     result.wall_ms = watch.ElapsedMillis();
     const double us_per_item =
@@ -369,7 +361,7 @@ void RunFixRoundSweep(std::vector<bench::BenchJsonEntry>* json_entries) {
   std::cout << std::endl;
 }
 
-void RunE6(bool write_json) {
+bool RunE6() {
   bench::PrintHeader(
       "E6", "final-merge & fix-round ablation",
       "Pairwise ladder vs splitter multiway merge, and the "
@@ -377,15 +369,7 @@ void RunE6(bool write_json) {
   std::vector<bench::BenchJsonEntry> entries;
   RunMergeAblation(&entries);
   RunFixRoundSweep(&entries);
-  if (!write_json) return;
-  const std::string json_path = bench::BenchJsonPath();
-  std::string error;
-  if (bench::UpdateBenchJson(json_path, "E6", entries, &error)) {
-    std::cout << "wrote " << entries.size() << " E6 entries to " << json_path
-              << "\n";
-  } else {
-    std::cerr << "BENCH json: " << error << "\n";
-  }
+  return bench::WriteBenchJson("E6", entries);
 }
 
 }  // namespace
@@ -395,8 +379,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == std::string("--e6-only")) {
       // CI smoke mode: just the merge/fix-round ablation and its JSON.
-      parjoin::RunE6(/*write_json=*/true);
-      return 0;
+      return parjoin::RunE6() ? 0 : 1;
     }
   }
   parjoin::bench::PrintHeader(
@@ -405,16 +388,9 @@ int main(int argc, char** argv) {
   std::vector<parjoin::bench::BenchJsonEntry> entries;
   parjoin::RunThreadSweep(&entries);
   parjoin::PrintLinearLoadTable();
-  const std::string json_path = parjoin::bench::BenchJsonPath();
-  std::string error;
-  if (parjoin::bench::UpdateBenchJson(json_path, "E10", entries, &error)) {
-    std::cout << "wrote " << entries.size() << " E10 entries to " << json_path
-              << "\n";
-  } else {
-    std::cerr << "BENCH json: " << error << "\n";
-  }
-  parjoin::RunE6(/*write_json=*/true);
+  const bool e10_written = parjoin::bench::WriteBenchJson("E10", entries);
+  const bool e6_written = parjoin::RunE6();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return e10_written && e6_written ? 0 : 1;
 }

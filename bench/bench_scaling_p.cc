@@ -38,19 +38,17 @@ int main() {
     for (int p : {4, 16, 64, 256, 1024}) {
       bench::RunResult yann = bench::Measure(p, 1, [&](mpc::Cluster& c) {
         auto instance = GenMatMulBlocks<S>(c, cfg);
-        c.ResetStats();
         YannakakisJoinAggregate(c, std::move(instance));
       });
       bench::RunResult ours = bench::Measure(p, 1, [&](mpc::Cluster& c) {
         auto instance = GenMatMulBlocks<S>(c, cfg);
-        c.ResetStats();
         MatMul(c, std::move(instance.relations[0]),
                std::move(instance.relations[1]));
       });
-      table.AddRow({Fmt(static_cast<std::int64_t>(p)), Fmt(yann.load),
-                    Fmt(ours.load),
-                    bench::Ratio(static_cast<double>(yann.load),
-                                 static_cast<double>(ours.load)),
+      table.AddRow({Fmt(static_cast<std::int64_t>(p)), Fmt(yann.stats.max_load),
+                    Fmt(ours.stats.max_load),
+                    bench::Ratio(static_cast<double>(yann.stats.max_load),
+                                 static_cast<double>(ours.stats.max_load)),
                     Fmt(plan::NewMatMulBound(cfg.n1(), cfg.n2(), cfg.out(),
                                               p))});
     }
@@ -69,18 +67,16 @@ int main() {
     for (int p : {4, 16, 64, 256}) {
       bench::RunResult yann = bench::Measure(p, 1, [&](mpc::Cluster& c) {
         auto instance = GenLineBlocks<S>(c, cfg);
-        c.ResetStats();
         YannakakisJoinAggregate(c, std::move(instance));
       });
       bench::RunResult ours = bench::Measure(p, 1, [&](mpc::Cluster& c) {
         auto instance = GenLineBlocks<S>(c, cfg);
-        c.ResetStats();
         LineQueryAggregate(c, std::move(instance));
       });
-      table.AddRow({Fmt(static_cast<std::int64_t>(p)), Fmt(yann.load),
-                    Fmt(ours.load),
-                    bench::Ratio(static_cast<double>(yann.load),
-                                 static_cast<double>(ours.load))});
+      table.AddRow({Fmt(static_cast<std::int64_t>(p)), Fmt(yann.stats.max_load),
+                    Fmt(ours.stats.max_load),
+                    bench::Ratio(static_cast<double>(yann.stats.max_load),
+                                 static_cast<double>(ours.stats.max_load))});
     }
     table.Print(std::cout);
     std::cout << std::endl;

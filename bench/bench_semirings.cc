@@ -30,7 +30,6 @@ void RunOne(TablePrinter* table) {
     cfg.dom_c = 1500;
     cfg.skew_b = 0.5;
     auto instance = GenMatMulRandom<S>(c, cfg);
-    c.ResetStats();
     auto result = MatMul(c, std::move(instance.relations[0]),
                          std::move(instance.relations[1]));
     out = result.TotalSize();
@@ -38,8 +37,9 @@ void RunOne(TablePrinter* table) {
       sample = S::Plus(sample, t.w);  // fold so the work isn't elided
     });
   });
-  table->AddRow({S::kName, Fmt(out), Fmt(r.load),
-                 Fmt(static_cast<std::int64_t>(r.rounds)), Fmt(r.wall_ms)});
+  table->AddRow({S::kName, Fmt(out), Fmt(r.stats.max_load),
+                 Fmt(static_cast<std::int64_t>(r.stats.rounds)),
+                 Fmt(r.wall_ms)});
 }
 
 }  // namespace

@@ -140,19 +140,15 @@ int main() {
     const double drain_s = clock.ElapsedSeconds();
 
     std::vector<double> latencies;
-    std::int64_t max_load = 0;
-    std::int64_t total_comm = 0;
-    std::int64_t critical_path = 0;
-    std::int64_t recovery_comm = 0;
-    int rounds = 0;
+    mpc::Cluster::Stats totals;
     for (const auto& out : outcomes) {
       latencies.push_back(out.latency_ms);
       const auto& xs = out.plan.execution_stats;
-      max_load = std::max(max_load, xs.max_load);
-      total_comm += xs.total_comm;
-      critical_path += xs.critical_path;
-      recovery_comm += xs.recovery_comm;
-      rounds += xs.rounds;
+      totals.max_load = std::max(totals.max_load, xs.max_load);
+      totals.total_comm += xs.total_comm;
+      totals.critical_path += xs.critical_path;
+      totals.recovery_comm += xs.recovery_comm;
+      totals.rounds += xs.rounds;
     }
     const auto& m = server.metrics();
     const double qps =
@@ -187,20 +183,16 @@ int main() {
     entry.n = n;
     entry.p = kP;
     entry.threads = ParallelForThreads();
-    entry.result.load = max_load;
-    entry.result.rounds = rounds;
-    entry.result.total_comm = total_comm;
-    entry.result.critical_path = critical_path;
-    entry.result.recovery_comm = recovery_comm;
+    entry.result.stats = totals;
     entry.result.wall_ms = drain_s * 1e3;
-    entry.serving.present = true;
-    entry.serving.qps = qps;
-    entry.serving.p50_ms = p50;
-    entry.serving.p99_ms = p99;
-    entry.serving.cache_hit_rate = server.plan_cache().HitRate();
-    entry.serving.cold_plan_ms = cold_ms;
-    entry.serving.warm_plan_ms = warm_ms;
-    json_entries.push_back(entry);
+    entry.columns = {
+        bench::FixedColumn("qps", qps, 3),
+        bench::FixedColumn("p50_ms", p50, 3),
+        bench::FixedColumn("p99_ms", p99, 3),
+        bench::FixedColumn("cache_hit_rate", server.plan_cache().HitRate(), 4),
+        bench::FixedColumn("cold_plan_ms", cold_ms, 3),
+        bench::FixedColumn("warm_plan_ms", warm_ms, 3)};
+    json_entries.push_back(std::move(entry));
 
     CHECK_EQ(m.failed, 0) << "E7 workload must serve cleanly";
     CHECK_GT(server.plan_cache().counters().hits, 0);
@@ -208,13 +200,5 @@ int main() {
   table.Print(std::cout);
   std::cout << std::endl;
 
-  const std::string json_path = bench::BenchJsonPath();
-  std::string error;
-  if (bench::UpdateBenchJson(json_path, "E7", json_entries, &error)) {
-    std::cout << "wrote " << json_entries.size() << " E7 entries to "
-              << json_path << "\n";
-  } else {
-    std::cerr << "BENCH json: " << error << "\n";
-  }
-  return 0;
+  return bench::WriteBenchJson("E7", json_entries) ? 0 : 1;
 }

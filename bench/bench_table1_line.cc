@@ -42,7 +42,6 @@ void RunSweep(const std::string& title, int p,
     bench::RunResult yann1981 = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = GenLineBlocks<S>(c, cfg);
       n_rel = instance.relations[0].TotalSize();
-      c.ResetStats();
       YannakakisOptions options;
       options.aggregate_pushdown = false;
       auto r = YannakakisJoinAggregate(c, std::move(instance), options);
@@ -50,22 +49,20 @@ void RunSweep(const std::string& title, int p,
     });
     bench::RunResult yann = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = GenLineBlocks<S>(c, cfg);
-      c.ResetStats();
       YannakakisJoinAggregate(c, std::move(instance));
     });
     bench::RunResult ours = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = GenLineBlocks<S>(c, cfg);
-      c.ResetStats();
       LineQueryAggregate(c, std::move(instance));
     });
     table.AddRow(
         {Fmt(static_cast<std::int64_t>(cfg.arity)), Fmt(n_rel),
-         Fmt(out_measured), Fmt(yann1981.load), Fmt(yann.load),
-         Fmt(ours.load),
-         bench::Ratio(static_cast<double>(yann1981.load),
-                      static_cast<double>(ours.load)),
-         bench::Ratio(static_cast<double>(yann.load),
-                      static_cast<double>(ours.load)),
+         Fmt(out_measured), Fmt(yann1981.stats.max_load),
+         Fmt(yann.stats.max_load), Fmt(ours.stats.max_load),
+         bench::Ratio(static_cast<double>(yann1981.stats.max_load),
+                      static_cast<double>(ours.stats.max_load)),
+         bench::Ratio(static_cast<double>(yann.stats.max_load),
+                      static_cast<double>(ours.stats.max_load)),
          Fmt(plan::NewLineStarBound(n_rel, out_measured, p)),
          Fmt(ours.wall_ms)});
     const std::pair<const char*, const bench::RunResult*> algos[] = {
@@ -167,31 +164,21 @@ int main() {
     bench::RunResult yann = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = make(c);
       n_total = instance.TotalInputSize();
-      c.ResetStats();
       auto r = YannakakisJoinAggregate(c, std::move(instance));
       out_measured = r.TotalSize();
     });
     bench::RunResult ours = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = make(c);
-      c.ResetStats();
       LineQueryAggregate(c, std::move(instance));
     });
     hub_table.AddRow({Fmt(m), Fmt(n_total), Fmt(out_measured),
-                      Fmt(yann.load), Fmt(ours.load),
-                      bench::Ratio(static_cast<double>(yann.load),
-                                   static_cast<double>(ours.load)),
+                      Fmt(yann.stats.max_load), Fmt(ours.stats.max_load),
+                      bench::Ratio(static_cast<double>(yann.stats.max_load),
+                                   static_cast<double>(ours.stats.max_load)),
                       Fmt(ours.wall_ms)});
   }
   hub_table.Print(std::cout);
   std::cout << std::endl;
 
-  const std::string json_path = bench::BenchJsonPath();
-  std::string error;
-  if (bench::UpdateBenchJson(json_path, "E2", json_entries, &error)) {
-    std::cout << "wrote " << json_entries.size() << " E2 entries to "
-              << json_path << "\n";
-  } else {
-    std::cerr << "BENCH json: " << error << "\n";
-  }
-  return 0;
+  return bench::WriteBenchJson("E2", json_entries) ? 0 : 1;
 }

@@ -41,30 +41,28 @@ void RunSweep(const std::string& title, int p,
     std::int64_t out_measured = 0;
     bench::RunResult yann = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = GenMatMulBlocks<S>(c, cfg);
-      c.ResetStats();
       auto r = YannakakisJoinAggregate(c, std::move(instance));
       out_measured = r.TotalSize();
     });
     bench::RunResult hc = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = GenMatMulBlocks<S>(c, cfg);
-      c.ResetStats();
       HyperCubeJoinAggregate(c, std::move(instance));
     });
     bench::RunResult ours = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = GenMatMulBlocks<S>(c, cfg);
-      c.ResetStats();
       MatMul(c, std::move(instance.relations[0]),
              std::move(instance.relations[1]));
     });
     table.AddRow({Fmt(cfg.n1()), Fmt(cfg.n2()), Fmt(out_measured),
-                  Fmt(yann.load), Fmt(hc.load), Fmt(ours.load),
-                  bench::Ratio(static_cast<double>(yann.load),
-                               static_cast<double>(ours.load)),
+                  Fmt(yann.stats.max_load), Fmt(hc.stats.max_load),
+                  Fmt(ours.stats.max_load),
+                  bench::Ratio(static_cast<double>(yann.stats.max_load),
+                               static_cast<double>(ours.stats.max_load)),
                   Fmt(plan::YannakakisMatMulBound(cfg.n1() + cfg.n2(),
                                                    out_measured, p)),
                   Fmt(plan::NewMatMulBound(cfg.n1(), cfg.n2(), out_measured,
                                             p)),
-                  Fmt(static_cast<std::int64_t>(ours.rounds)),
+                  Fmt(static_cast<std::int64_t>(ours.stats.rounds)),
                   Fmt(ours.wall_ms)});
     const std::pair<const char*, const bench::RunResult*> algos[] = {
         {"yannakakis", &yann}, {"hypercube", &hc}, {"thm1", &ours}};
@@ -99,24 +97,16 @@ void RunPlannerSweep(const std::string& title, int p,
                       "L_measured", "L_planning", "rounds", "ms"});
   for (const auto& cfg : configs) {
     plan::PhysicalPlan chosen_plan;
-    bench::RunResult run = bench::Measure(p, 1, [&](mpc::Cluster& c) {
-      auto instance = GenMatMulBlocks<S>(c, cfg);
-      c.ResetStats();
-      auto exec = plan::PlanAndRun(c, std::move(instance));
-      chosen_plan = std::move(exec.plan);
+    const bench::RunResult run = bench::Measure(p, 1, [&](mpc::Cluster& c) {
+      chosen_plan = plan::PlanAndRun(c, GenMatMulBlocks<S>(c, cfg)).plan;
     });
-    // Measure() reports the ledger across planning + execution; the plan
-    // splits the two phases.
-    run.load = chosen_plan.execution_stats.max_load;
-    run.rounds = chosen_plan.execution_stats.rounds;
-    run.total_comm = chosen_plan.execution_stats.total_comm;
     const std::int64_t predicted =
         static_cast<std::int64_t>(chosen_plan.predicted_load);
     table.AddRow({Fmt(cfg.n1()), Fmt(cfg.n2()), Fmt(chosen_plan.out_actual),
                   plan::AlgorithmName(chosen_plan.chosen), Fmt(predicted),
                   Fmt(chosen_plan.measured_load),
                   Fmt(chosen_plan.planning_stats.max_load),
-                  Fmt(static_cast<std::int64_t>(run.rounds)),
+                  Fmt(static_cast<std::int64_t>(run.stats.rounds)),
                   Fmt(run.wall_ms)});
     bench::BenchJsonEntry entry;
     entry.experiment = "E4";
@@ -185,19 +175,7 @@ int main() {
   RunPlannerSweep("Unequal N1/N2", p, unbalanced, "unbalanced",
                   &planner_entries);
 
-  const std::string json_path = bench::BenchJsonPath();
-  std::string error;
-  if (bench::UpdateBenchJson(json_path, "E1", json_entries, &error)) {
-    std::cout << "wrote " << json_entries.size() << " E1 entries to "
-              << json_path << "\n";
-  } else {
-    std::cerr << "BENCH json: " << error << "\n";
-  }
-  if (bench::UpdateBenchJson(json_path, "E4", planner_entries, &error)) {
-    std::cout << "wrote " << planner_entries.size() << " E4 entries to "
-              << json_path << "\n";
-  } else {
-    std::cerr << "BENCH json: " << error << "\n";
-  }
-  return 0;
+  const bool e1_written = bench::WriteBenchJson("E1", json_entries);
+  const bool e4_written = bench::WriteBenchJson("E4", planner_entries);
+  return e1_written && e4_written ? 0 : 1;
 }

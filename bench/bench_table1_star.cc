@@ -38,20 +38,18 @@ void RunSweep(const std::string& title, int p, int arity,
     bench::RunResult yann = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = gen(c);
       n_rel = instance.relations[0].TotalSize();
-      c.ResetStats();
       auto r = YannakakisJoinAggregate(c, std::move(instance));
       out_measured = r.TotalSize();
     });
     bench::RunResult ours = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = gen(c);
-      c.ResetStats();
       StarQueryAggregate(c, std::move(instance));
     });
     table.AddRow(
         {Fmt(static_cast<std::int64_t>(arity)), Fmt(n_rel),
-         Fmt(out_measured), Fmt(yann.load), Fmt(ours.load),
-         bench::Ratio(static_cast<double>(yann.load),
-                      static_cast<double>(ours.load)),
+         Fmt(out_measured), Fmt(yann.stats.max_load), Fmt(ours.stats.max_load),
+         bench::Ratio(static_cast<double>(yann.stats.max_load),
+                      static_cast<double>(ours.stats.max_load)),
          Fmt(plan::YannakakisStarBound(n_rel, out_measured, arity, p)),
          Fmt(plan::NewLineStarBound(n_rel, out_measured, p)),
          Fmt(ours.wall_ms)});
@@ -126,13 +124,5 @@ int main() {
   RunSweep<Gen>("Skewed random stars (Zipf on B)", p, 3, skewed, "skewed",
                 &json_entries);
 
-  const std::string json_path = bench::BenchJsonPath();
-  std::string error;
-  if (bench::UpdateBenchJson(json_path, "E3", json_entries, &error)) {
-    std::cout << "wrote " << json_entries.size() << " E3 entries to "
-              << json_path << "\n";
-  } else {
-    std::cerr << "BENCH json: " << error << "\n";
-  }
-  return 0;
+  return bench::WriteBenchJson("E3", json_entries) ? 0 : 1;
 }

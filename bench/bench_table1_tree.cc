@@ -34,21 +34,20 @@ void RunSweep(const std::string& title, int p,
     bench::RunResult yann = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = gen(c);
       n_total = instance.TotalInputSize();
-      c.ResetStats();
       auto r = YannakakisJoinAggregate(c, std::move(instance));
       out_measured = r.TotalSize();
     });
     bench::RunResult ours = bench::Measure(p, 1, [&](mpc::Cluster& c) {
       auto instance = gen(c);
-      c.ResetStats();
       TreeQueryAggregate(c, std::move(instance));
     });
     const std::int64_t n_rel =
         n_total / 15;  // rough per-relation size for the bound columns
     table.AddRow(
-        {Fmt(n_total), Fmt(out_measured), Fmt(yann.load), Fmt(ours.load),
-         bench::Ratio(static_cast<double>(yann.load),
-                      static_cast<double>(ours.load)),
+        {Fmt(n_total), Fmt(out_measured), Fmt(yann.stats.max_load),
+         Fmt(ours.stats.max_load),
+         bench::Ratio(static_cast<double>(yann.stats.max_load),
+                      static_cast<double>(ours.stats.max_load)),
          Fmt(plan::YannakakisTreeBound(n_rel, out_measured, p)),
          Fmt(plan::NewTreeBound(n_rel, out_measured, p)),
          Fmt(ours.wall_ms)});

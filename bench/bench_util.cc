@@ -4,7 +4,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+
+#include "parjoin/common/stopwatch.h"
 
 namespace parjoin {
 namespace bench {
@@ -16,11 +17,7 @@ RunResult Measure(int p, std::uint64_t seed,
   body(cluster);
   RunResult result;
   result.wall_ms = watch.ElapsedMillis();
-  result.load = cluster.stats().max_load;
-  result.rounds = cluster.stats().rounds;
-  result.total_comm = cluster.stats().total_comm;
-  result.critical_path = cluster.stats().critical_path;
-  result.recovery_comm = cluster.stats().recovery_comm;
+  result.stats = cluster.stats();
   return result;
 }
 
@@ -39,9 +36,24 @@ void PrintHeader(const std::string& experiment_id,
   std::cout << std::endl;
 }
 
+Column IntColumn(const std::string& key, std::int64_t value) {
+  return {key, std::to_string(value)};
+}
+
+Column FixedColumn(const std::string& key, double value, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
+  return {key, buf};
+}
+
+Column StringColumn(const std::string& key, const std::string& value) {
+  return {key, "\"" + value + "\""};
+}
+
 namespace {
 
 std::string FormatEntry(const BenchJsonEntry& e) {
+  const mpc::Cluster::Stats& s = e.result.stats;
   char buf[768];
   std::snprintf(buf, sizeof(buf),
                 "    {\"experiment\": \"%s\", \"name\": \"%s\", "
@@ -51,44 +63,13 @@ std::string FormatEntry(const BenchJsonEntry& e) {
                 "\"recovery_comm\": %lld",
                 e.experiment.c_str(), e.name.c_str(),
                 static_cast<long long>(e.n), e.p, e.threads,
-                e.result.wall_ms, static_cast<long long>(e.result.load),
-                e.result.rounds,
-                static_cast<long long>(e.result.total_comm),
-                static_cast<long long>(e.result.critical_path),
-                static_cast<long long>(e.result.recovery_comm));
+                e.result.wall_ms, static_cast<long long>(s.max_load),
+                s.rounds, static_cast<long long>(s.total_comm),
+                static_cast<long long>(s.critical_path),
+                static_cast<long long>(s.recovery_comm));
   std::string line = buf;
-  if (e.serving.present) {
-    std::snprintf(buf, sizeof(buf),
-                  ", \"qps\": %.3f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-                  "\"cache_hit_rate\": %.4f, \"cold_plan_ms\": %.3f, "
-                  "\"warm_plan_ms\": %.3f",
-                  e.serving.qps, e.serving.p50_ms, e.serving.p99_ms,
-                  e.serving.cache_hit_rate, e.serving.cold_plan_ms,
-                  e.serving.warm_plan_ms);
-    line += buf;
-  }
-  if (e.calibration.present) {
-    std::snprintf(buf, sizeof(buf),
-                  ", \"chosen_unit\": \"%s\", "
-                  "\"chosen_calibrated\": \"%s\", "
-                  "\"measured_best\": \"%s\", \"corrected\": %d, "
-                  "\"calib_factor\": %.4f",
-                  e.calibration.chosen_unit.c_str(),
-                  e.calibration.chosen_calibrated.c_str(),
-                  e.calibration.measured_best.c_str(),
-                  e.calibration.corrected, e.calibration.calib_factor);
-    line += buf;
-  }
-  if (e.recovery.present) {
-    std::snprintf(buf, sizeof(buf),
-                  ", \"resumes\": %d, \"resumed_rounds\": %d, "
-                  "\"rebalances\": %d, \"rebalance_comm\": %lld, "
-                  "\"replans\": %d",
-                  e.recovery.resumes, e.recovery.resumed_rounds,
-                  e.recovery.rebalances,
-                  static_cast<long long>(e.recovery.rebalance_comm),
-                  e.recovery.replans);
-    line += buf;
+  for (const Column& c : e.columns) {
+    line += ", \"" + c.key + "\": " + c.json;
   }
   line += "}";
   return line;
@@ -107,11 +88,6 @@ std::string EntryExperiment(const std::string& line) {
 }
 
 }  // namespace
-
-std::string BenchJsonPath() {
-  if (const char* env = std::getenv("PARJOIN_BENCH_JSON")) return env;
-  return "BENCH_parjoin.json";
-}
 
 bool UpdateBenchJson(const std::string& path, const std::string& experiment,
                      const std::vector<BenchJsonEntry>& entries,
@@ -144,6 +120,20 @@ bool UpdateBenchJson(const std::string& path, const std::string& experiment,
     if (error != nullptr) *error = "write to " + path + " failed";
     return false;
   }
+  return true;
+}
+
+bool WriteBenchJson(const std::string& experiment,
+                    const std::vector<BenchJsonEntry>& entries) {
+  const char* env = std::getenv("PARJOIN_BENCH_JSON");
+  const std::string path = env != nullptr ? env : "BENCH_parjoin.json";
+  std::string error;
+  if (!UpdateBenchJson(path, experiment, entries, &error)) {
+    std::cerr << "BENCH json: " << error << "\n";
+    return false;
+  }
+  std::cout << "wrote " << entries.size() << " " << experiment
+            << " entries to " << path << "\n";
   return true;
 }
 

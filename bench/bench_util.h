@@ -1,7 +1,7 @@
 // Shared helpers for the paper-table benchmark binaries: run an algorithm
-// on a fresh cluster, collect (load, rounds, total communication, wall
-// time), format report rows, and persist machine-readable results to the
-// BENCH_parjoin.json perf trajectory.
+// on a fresh cluster, collect its ledger and wall time, format report
+// rows, and persist machine-readable results to the BENCH_parjoin.json
+// perf trajectory.
 
 #ifndef PARJOIN_BENCH_BENCH_UTIL_H_
 #define PARJOIN_BENCH_BENCH_UTIL_H_
@@ -11,18 +11,14 @@
 #include <string>
 #include <vector>
 
-#include "parjoin/common/stopwatch.h"
 #include "parjoin/mpc/cluster.h"
 
 namespace parjoin {
 namespace bench {
 
+// One measured run: the cluster's whole ledger plus host wall time.
 struct RunResult {
-  std::int64_t load = 0;           // stats().max_load
-  int rounds = 0;                  // stats().rounds
-  std::int64_t total_comm = 0;     // stats().total_comm
-  std::int64_t critical_path = 0;  // stats().critical_path
-  std::int64_t recovery_comm = 0;  // stats().recovery_comm
+  mpc::Cluster::Stats stats;
   double wall_ms = 0;
 };
 
@@ -39,47 +35,24 @@ void PrintHeader(const std::string& experiment_id,
 
 // --- Machine-readable trajectory (BENCH_parjoin.json) -----------------------
 //
-// Each bench binary appends its rows to a shared JSON file so the perf
+// Each bench binary writes its rows to a shared JSON file so the perf
 // trajectory across PRs has data points. One entry = one measured
 // configuration. `name` must be unique within the experiment and must not
 // contain '"' (no escaping is performed).
 
-// Serving-runtime metrics (E7): emitted into the entry only when
-// `present` — entries from non-serving benches keep the original column
-// set, and the schema checker treats these as optional fields.
-struct ServingMetrics {
-  bool present = false;
-  double qps = 0;              // sustained queries per second
-  double p50_ms = 0;           // median query latency
-  double p99_ms = 0;           // tail query latency
-  double cache_hit_rate = 0;   // plan-cache hits / lookups, in [0, 1]
-  double cold_plan_ms = 0;     // mean planning time on cache misses
-  double warm_plan_ms = 0;     // mean plan-retrieval time on cache hits
+// One experiment-specific column of a row (E7's "qps", E9's "replans",
+// ...). `json` is the value's JSON text; the writer emits it verbatim
+// after the ledger columns, in list order.
+struct Column {
+  std::string key;
+  std::string json;
 };
 
-// Planner-calibration metrics (E8): emitted into the entry only when
-// `present`. The three algorithm names must not contain '"' (they come
-// from AlgorithmName; no escaping is performed).
-struct CalibrationMetrics {
-  bool present = false;
-  std::string chosen_unit;        // planner's pick with constant-1 bounds
-  std::string chosen_calibrated;  // pick with profile-fitted factors
-  std::string measured_best;      // ground truth: argmin measured load
-  int corrected = 0;   // 1 iff calibration fixed a wrong unit-constant pick
-  double calib_factor = 0;  // fitted factor behind the calibrated pick
-};
-
-// Fine-grained-recovery metrics (E9): emitted into the entry only when
-// `present`. Counts come from the execution phase's Cluster::Stats /
-// RecoveryReport after a faulted run.
-struct RecoveryMetrics {
-  bool present = false;
-  int resumes = 0;         // replays that fast-forwarded from a checkpoint
-  int resumed_rounds = 0;  // rounds those resumes elided
-  int rebalances = 0;      // charged straggler re-balance rounds
-  std::int64_t rebalance_comm = 0;  // tuples those rounds shipped
-  int replans = 0;         // budget-abort re-plans
-};
+// Column builders: an integer, a double with `decimals` fixed digits, and
+// a quoted string (must not contain '"').
+Column IntColumn(const std::string& key, std::int64_t value);
+Column FixedColumn(const std::string& key, double value, int decimals);
+Column StringColumn(const std::string& key, const std::string& value);
 
 struct BenchJsonEntry {
   std::string experiment;  // e.g. "E1"
@@ -88,23 +61,26 @@ struct BenchJsonEntry {
   int p = 0;               // servers
   int threads = 0;         // ParallelForThreads() at measurement time
   RunResult result;
-  ServingMetrics serving;
-  CalibrationMetrics calibration;
-  RecoveryMetrics recovery;
+  std::vector<Column> columns;  // written after the ledger columns
 };
 
-// Path of the trajectory file: $PARJOIN_BENCH_JSON if set, else
-// "BENCH_parjoin.json" in the current directory.
-std::string BenchJsonPath();
-
 // Rewrites the trajectory file at `path`, replacing every existing entry
-// of `experiment` with `entries` and preserving entries of other
-// experiments. Returns false (and sets *error) on I/O failure. The file
-// format is one entry object per line inside a top-level "entries" array;
-// UpdateBenchJson only reparses lines it wrote itself.
+// of `experiment` with `entries` (appended after the kept rows) and
+// keeping the entries of other experiments verbatim and in order. Returns
+// false (and sets *error) on I/O failure. The file format is one entry
+// object per line inside a top-level "entries" array; UpdateBenchJson
+// only reparses lines it wrote itself.
 bool UpdateBenchJson(const std::string& path, const std::string& experiment,
                      const std::vector<BenchJsonEntry>& entries,
                      std::string* error);
+
+// The one trajectory write of a bench main: UpdateBenchJson on
+// $PARJOIN_BENCH_JSON (default "BENCH_parjoin.json" in the current
+// directory). Prints "wrote N <experiment> entries to <path>" on success;
+// on failure prints the error to stderr and returns false, so the bench
+// exits nonzero.
+bool WriteBenchJson(const std::string& experiment,
+                    const std::vector<BenchJsonEntry>& entries);
 
 }  // namespace bench
 }  // namespace parjoin

@@ -1,7 +1,8 @@
-# Runs one example binary and checks BOTH its exit code and its combined
-# output — ctest's WILL_FAIL / PASS_REGULAR_EXPRESSION can each check only
-# one of the two, and the ingress contract pins both (bad spec -> exit 1
-# with the offending line; bad flag -> exit 2 with usage).
+# Runs one binary (an example or a bench) and checks BOTH its exit code
+# and its combined output — ctest's WILL_FAIL / PASS_REGULAR_EXPRESSION
+# can each check only one of the two, and the ingress contract pins both
+# (bad spec -> exit 1 with the offending line; bad flag -> exit 2 with
+# usage; failed bench JSON write -> exit 1 with the error).
 #
 # Usage:
 #   cmake -DCMD=<command line> -DEXPECT_CODE=<n> [-DEXPECT_OUTPUT=<regex>]

@@ -57,7 +57,7 @@ OPTIONAL = {
     "corrected": (int, 0),
     "calib_factor": ((int, float), 0),
     # Fine-grained-recovery metrics (E9 entries from
-    # bench_recovery_granularity).
+    # bench_fault_recovery).
     "resumes": (int, 0),
     "resumed_rounds": (int, 0),
     "rebalances": (int, 0),
