@@ -4,15 +4,13 @@
 // A parjoind Server registers four relations once (Distribute + KMV
 // sketches at registration), then serves a seeded mixed workload of three
 // query shapes (matmul, line, star) — 60 queries, each shape repeated —
-// in two admission configurations:
-//   fifo     one query per batch (load_budget 0): strict serial FIFO
-//   batched  admission-controlled batches against a predicted-load budget
+// one at a time in arrival order.
 //
-// Reported per configuration: sustained queries/sec, p50/p99 latency,
-// plan-cache hit rate, and mean cold (estimation pass) vs. warm (cache
-// hit) planning time. The first query of each shape plans cold; every
-// repeat hits the cache, so the hit rate is (queries - shapes) / queries
-// and warm planning must be orders of magnitude below cold.
+// Reported: sustained queries/sec, p50/p99 latency, plan-cache hit rate,
+// and mean cold (estimation pass) vs. warm (cache hit) planning time. The
+// first query of each shape plans cold; every repeat hits the cache, so
+// the hit rate is (queries - shapes) / queries and warm planning must be
+// orders of magnitude below cold.
 
 #include <algorithm>
 #include <cstdint>
@@ -106,99 +104,85 @@ int main() {
   bench::PrintHeader(
       "E7", "serving runtime (parjoind)",
       "Mixed 3-shape x 60-query workload through the Server: plan cache, "
-      "cost-ticket admission control, per-query isolation.");
+      "FIFO serving, per-query isolation.");
 
-  struct Config {
-    std::string name;
-    double load_budget;
-  };
-  std::vector<Config> configs = {{"fifo", 0}, {"batched", 30000}};
+  serve::ServerOptions options;
+  options.p = kP;
+  options.seed = kSeed;
+  serve::Server<S> server(options);
+  const std::int64_t n = RegisterRelations(server);
 
-  std::vector<bench::BenchJsonEntry> json_entries;
-  TablePrinter table({"config", "queries", "failed", "batches", "qps",
-                      "p50_ms", "p99_ms", "hit_rate", "cold_plan_ms",
-                      "warm_plan_ms"});
-  for (const Config& cfg : configs) {
-    serve::ServerOptions options;
-    options.p = kP;
-    options.seed = kSeed;
-    options.load_budget = cfg.load_budget;
-    serve::Server<S> server(options);
-    const std::int64_t n = RegisterRelations(server);
-
-    std::int64_t enqueued = 0;
-    for (const auto& shape : MixedWorkload()) {
-      for (int rep = 0; rep < shape.repeat; ++rep) {
-        CHECK_OK(server.Enqueue(shape.spec,
-                                shape.name + "#" + std::to_string(rep)));
-        ++enqueued;
-      }
+  std::int64_t enqueued = 0;
+  for (const auto& shape : MixedWorkload()) {
+    for (int rep = 0; rep < shape.repeat; ++rep) {
+      CHECK_OK(
+          server.Enqueue(shape.spec, shape.name + "#" + std::to_string(rep)));
+      ++enqueued;
     }
-
-    Stopwatch clock;
-    const auto outcomes = server.Drain();
-    const double drain_s = clock.ElapsedSeconds();
-
-    std::vector<double> latencies;
-    mpc::Cluster::Stats totals;
-    for (const auto& out : outcomes) {
-      latencies.push_back(out.latency_ms);
-      const auto& xs = out.plan.execution_stats;
-      totals.max_load = std::max(totals.max_load, xs.max_load);
-      totals.total_comm += xs.total_comm;
-      totals.critical_path += xs.critical_path;
-      totals.recovery_comm += xs.recovery_comm;
-      totals.rounds += xs.rounds;
-    }
-    const auto& m = server.metrics();
-    const double qps =
-        drain_s > 0 ? static_cast<double>(outcomes.size()) / drain_s : 0;
-    const double p50 = Percentile(latencies, 0.50);
-    const double p99 = Percentile(latencies, 0.99);
-    const double cold_ms =
-        m.cold_plans > 0
-            ? m.cold_plan_ms_total / static_cast<double>(m.cold_plans)
-            : 0;
-    const double warm_ms =
-        m.warm_plans > 0
-            ? m.warm_plan_ms_total / static_cast<double>(m.warm_plans)
-            : 0;
-
-    char qps_s[32], p50_s[32], p99_s[32], hit_s[32], cold_s[32], warm_s[32];
-    std::snprintf(qps_s, sizeof(qps_s), "%.1f", qps);
-    std::snprintf(p50_s, sizeof(p50_s), "%.3f", p50);
-    std::snprintf(p99_s, sizeof(p99_s), "%.3f", p99);
-    std::snprintf(hit_s, sizeof(hit_s), "%.3f",
-                  server.plan_cache().HitRate());
-    std::snprintf(cold_s, sizeof(cold_s), "%.3f", cold_ms);
-    std::snprintf(warm_s, sizeof(warm_s), "%.4f", warm_ms);
-    table.AddRow({cfg.name, std::to_string(enqueued),
-                  std::to_string(m.failed), std::to_string(m.batches),
-                  qps_s, p50_s, p99_s, hit_s, cold_s, warm_s});
-
-    bench::BenchJsonEntry entry;
-    entry.experiment = "E7";
-    entry.name = "serving/mixed/" + cfg.name + "/q=" +
-                 std::to_string(enqueued) + "/p=" + std::to_string(kP);
-    entry.n = n;
-    entry.p = kP;
-    entry.threads = ParallelForThreads();
-    entry.result.stats = totals;
-    entry.result.wall_ms = drain_s * 1e3;
-    entry.columns = {
-        bench::FixedColumn("qps", qps, 3),
-        bench::FixedColumn("p50_ms", p50, 3),
-        bench::FixedColumn("p99_ms", p99, 3),
-        bench::FixedColumn("cache_hit_rate", server.plan_cache().HitRate(), 4),
-        bench::FixedColumn("cold_plan_ms", cold_ms, 3),
-        bench::FixedColumn("warm_plan_ms", warm_ms, 3)};
-    json_entries.push_back(std::move(entry));
-
-    CHECK_EQ(m.failed, 0) << "E7 workload must serve cleanly";
-    CHECK_GT(server.plan_cache().counters().hits, 0);
   }
+
+  Stopwatch clock;
+  const auto outcomes = server.Drain();
+  const double drain_s = clock.ElapsedSeconds();
+
+  std::vector<double> latencies;
+  mpc::Cluster::Stats totals;
+  std::int64_t failed = 0;
+  double cold_plan_ms = 0;
+  double warm_plan_ms = 0;
+  for (const auto& out : outcomes) {
+    latencies.push_back(out.latency_ms);
+    failed += out.status.ok() ? 0 : 1;
+    (out.cache_hit ? warm_plan_ms : cold_plan_ms) += out.plan_ms;
+    const auto& xs = out.plan.execution_stats;
+    totals.max_load = std::max(totals.max_load, xs.max_load);
+    totals.total_comm += xs.total_comm;
+    totals.critical_path += xs.critical_path;
+    totals.recovery_comm += xs.recovery_comm;
+    totals.rounds += xs.rounds;
+  }
+  const serve::PlanCache::Counters& c = server.plan_cache().counters();
+  const double qps =
+      drain_s > 0 ? static_cast<double>(outcomes.size()) / drain_s : 0;
+  const double p50 = Percentile(latencies, 0.50);
+  const double p99 = Percentile(latencies, 0.99);
+  const double cold_ms =
+      c.misses > 0 ? cold_plan_ms / static_cast<double>(c.misses) : 0;
+  const double warm_ms =
+      c.hits > 0 ? warm_plan_ms / static_cast<double>(c.hits) : 0;
+
+  char qps_s[32], p50_s[32], p99_s[32], hit_s[32], cold_s[32], warm_s[32];
+  std::snprintf(qps_s, sizeof(qps_s), "%.1f", qps);
+  std::snprintf(p50_s, sizeof(p50_s), "%.3f", p50);
+  std::snprintf(p99_s, sizeof(p99_s), "%.3f", p99);
+  std::snprintf(hit_s, sizeof(hit_s), "%.3f", server.plan_cache().HitRate());
+  std::snprintf(cold_s, sizeof(cold_s), "%.3f", cold_ms);
+  std::snprintf(warm_s, sizeof(warm_s), "%.4f", warm_ms);
+  TablePrinter table({"queries", "failed", "qps", "p50_ms", "p99_ms",
+                      "hit_rate", "cold_plan_ms", "warm_plan_ms"});
+  table.AddRow({std::to_string(enqueued), std::to_string(failed), qps_s,
+                p50_s, p99_s, hit_s, cold_s, warm_s});
   table.Print(std::cout);
   std::cout << std::endl;
 
-  return bench::WriteBenchJson("E7", json_entries) ? 0 : 1;
+  bench::BenchJsonEntry entry;
+  entry.experiment = "E7";
+  entry.name = "serving/mixed/fifo/q=" + std::to_string(enqueued) +
+               "/p=" + std::to_string(kP);
+  entry.n = n;
+  entry.p = kP;
+  entry.threads = ParallelForThreads();
+  entry.result.stats = totals;
+  entry.result.wall_ms = drain_s * 1e3;
+  entry.columns = {
+      bench::FixedColumn("qps", qps, 3),
+      bench::FixedColumn("p50_ms", p50, 3),
+      bench::FixedColumn("p99_ms", p99, 3),
+      bench::FixedColumn("cache_hit_rate", server.plan_cache().HitRate(), 4),
+      bench::FixedColumn("cold_plan_ms", cold_ms, 3),
+      bench::FixedColumn("warm_plan_ms", warm_ms, 3)};
+
+  CHECK_EQ(failed, 0) << "E7 workload must serve cleanly";
+  CHECK_GT(c.hits, 0);
+  return bench::WriteBenchJson("E7", {entry}) ? 0 : 1;
 }

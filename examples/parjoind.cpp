@@ -6,9 +6,6 @@
 //
 // Flags:
 //   --plan-cache-capacity=<n>    LRU plan cache entries (default 64, >= 1)
-//   --load-budget=<tuples>       admission budget per batch in
-//                                predicted-load units (0 = one query per
-//                                batch; default 0)
 //   --faults=<seed>              arm per-query deterministic fault
 //                                injection
 //   --checkpoint-interval=<r>    replicate state every r rounds (r >= 0)
@@ -36,10 +33,10 @@
 //
 // The workload grammar lives in serve/spec.h: `register` relations once
 // (load + Distribute + KMV sketches at registration), then `query` blocks
-// whose edges reference them by @name. Queries are admitted FIFO with
-// cost-model tickets against the load budget, planned through the plan
-// cache, and executed with per-query isolation: a query that fails under
-// injected faults reports an error and the server serves the next one.
+// whose edges reference them by @name. Queries are served one at a time
+// in arrival order, planned through the plan cache, and executed with
+// per-query isolation: a query that fails under injected faults reports
+// an error and the server serves the next one.
 // Exit codes: 0 served, 1 bad workload/registration, 2 bad flags.
 
 #include <cstdio>
@@ -73,8 +70,8 @@ struct ObsPaths : parjoin::serve::ObsFlags {
 
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--plan-cache-capacity=<n>] [--load-budget=<tuples>]"
-               " [--faults=<seed>] [--checkpoint-interval=<r>]"
+            << " [--plan-cache-capacity=<n>] [--faults=<seed>]"
+               " [--checkpoint-interval=<r>]"
                " [--resume] [--straggle-threshold=<f>]"
                " [--load-budget-factor=<f>] [--replan]"
                " [--trace-out=<file>]"
@@ -147,15 +144,20 @@ int RunWorkload(const parjoin::serve::WorkloadSpec& workload,
 
   // First successful outcome of each query block writes its result file.
   std::size_t at = 0;
+  long long served = 0;
+  double cold_plan_ms = 0;
+  double warm_plan_ms = 0;
   for (const auto& q : workload.queries) {
     bool written = false;
     for (int rep = 0; rep < q.repeat; ++rep, ++at) {
       const auto& out = outcomes[at];
-      std::printf("  %-12s %s batch %d %s plan %.3f ms, latency %.3f ms",
+      std::printf("  %-12s %s %s plan %.3f ms, latency %.3f ms",
                   out.label.c_str(), out.status.ok() ? "ok " : "ERR",
-                  out.batch, out.cache_hit ? "warm" : "cold", out.plan_ms,
+                  out.cache_hit ? "warm" : "cold", out.plan_ms,
                   out.latency_ms);
+      (out.cache_hit ? warm_plan_ms : cold_plan_ms) += out.plan_ms;
       if (out.status.ok()) {
+        ++served;
         std::printf(", %lld tuples\n",
                     static_cast<long long>(out.result.size()));
       } else {
@@ -173,41 +175,23 @@ int RunWorkload(const parjoin::serve::WorkloadSpec& workload,
     }
   }
 
-  const auto& m = server.metrics();
   const auto& c = server.plan_cache().counters();
-  std::printf(
-      "\nServed %lld/%lld queries (%lld failed) in %d batch(es), "
-      "%.1f ms\n",
-      static_cast<long long>(m.served),
-      static_cast<long long>(m.enqueued),
-      static_cast<long long>(m.failed), m.batches, drain_ms);
+  const auto total = static_cast<long long>(outcomes.size());
+  std::printf("\nServed %lld/%lld queries (%lld failed), %.1f ms\n", served,
+              total, total - served, drain_ms);
   std::printf(
       "Plan cache: %lld hit(s), %lld miss(es), %lld eviction(s) "
       "(hit rate %.2f)\n",
       static_cast<long long>(c.hits), static_cast<long long>(c.misses),
       static_cast<long long>(c.evictions),
       server.plan_cache().HitRate());
-  if (m.cold_plans > 0 && m.warm_plans > 0) {
+  if (c.misses > 0 && c.hits > 0) {
     std::printf("Planning: cold %.3f ms avg (%lld), warm %.3f ms avg "
                 "(%lld)\n",
-                m.cold_plan_ms_total / static_cast<double>(m.cold_plans),
-                static_cast<long long>(m.cold_plans),
-                m.warm_plan_ms_total / static_cast<double>(m.warm_plans),
-                static_cast<long long>(m.warm_plans));
-  }
-  std::printf("Batches (admitted queries, ticket load%s):\n",
-              server.options().load_budget > 0 ? ", carry-over" : "");
-  for (const auto& b : server.batch_stats()) {
-    std::printf("  batch %d: %d admitted, ticket load %.1f", b.batch,
-                b.admitted, b.ticket_load);
-    if (server.options().load_budget > 0) {
-      std::printf("/%.1f", server.options().load_budget);
-    }
-    if (b.carried_in) std::printf(", carried-in query");
-    if (b.carried_out) {
-      std::printf(", carries '%s' out", b.carried_out_label.c_str());
-    }
-    std::printf("\n");
+                cold_plan_ms / static_cast<double>(c.misses),
+                static_cast<long long>(c.misses),
+                warm_plan_ms / static_cast<double>(c.hits),
+                static_cast<long long>(c.hits));
   }
   {
     auto& reg = server.metrics_registry();
@@ -354,14 +338,6 @@ int main(int argc, char** argv) {
       }
       server_options.plan_cache_capacity =
           static_cast<std::size_t>(*capacity);
-    } else if (parjoin::serve::MatchFlag(arg, "load-budget", &value)) {
-      auto budget = parjoin::serve::ParseDoubleFlag("load-budget", value);
-      if (!budget.ok() || *budget < 0) {
-        std::cerr << "error: --load-budget needs a number >= 0, got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      server_options.load_budget = *budget;
     } else if (parjoin::serve::MatchFlag(arg, "metrics-out", &value)) {
       if (value.empty()) {
         std::cerr << "error: --metrics-out needs a file path\n";

@@ -57,18 +57,16 @@ class RoundObserver {
 
   // Discrete events: "straggler", "retransmit", "crash", "budget_abort",
   // "checkpoint", "rebalance", "resume", plus executor-level markers
-  // ("attempt", "replay", "degrade", "replan", "plan"). `round` is the
+  // ("attempt", "replay", "degrade", "replan", "plan"). Every event
+  // arrives here, with its payload (straggle victim and factor,
+  // re-balanced tuple count) when its kind carries one.
+  virtual void OnEventRecord(const EventRecord& event) = 0;
+
+  // Shorthand for an event without a payload. `round` is the
   // charged-round index the event is associated with (0 when not tied to
   // a round).
-  virtual void OnEvent(const char* kind, int round,
-                       const std::string& detail) = 0;
-
-  // Structured variant: events that carry a payload (straggle victim and
-  // factor, re-balanced tuple count) arrive here. The default forwards to
-  // OnEvent, dropping the payload, so observers that only care about the
-  // textual trail need not override it.
-  virtual void OnEventRecord(const EventRecord& event) {
-    OnEvent(event.kind, event.round, event.detail);
+  void OnEvent(const char* kind, int round, const std::string& detail) {
+    OnEventRecord(EventRecord{kind, round, detail});
   }
 
   // Scope labels: primitives push their name ("sort", "exchange", ...) so

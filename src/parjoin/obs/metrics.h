@@ -1,7 +1,7 @@
 // Metrics registry: named counters, gauges, and fixed-bucket histograms
 // behind the annotated Mutex wrappers (common/mutex.h), for the serving
 // runtime's operational numbers — qps, latency quantiles, plan-cache
-// hit/miss/eviction, admission-queue depth, recovery counts.
+// hit/miss/eviction, served/failed queries, recovery counts.
 //
 // Metrics are created through the registry and owned by it; the returned
 // pointers stay valid for the registry's lifetime and every mutation is

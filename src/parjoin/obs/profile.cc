@@ -12,6 +12,11 @@ namespace parjoin {
 namespace obs {
 namespace {
 
+// The largest run count a JSON number holds exactly. FromJson caps a
+// file's total here, so every later int64 sum of runs stays far from
+// overflow.
+constexpr std::int64_t kMaxTotalRuns = std::int64_t{1} << 53;
+
 int Log2Bucket(std::int64_t n) {
   int b = 0;
   for (std::int64_t v = n; v > 1; v >>= 1) ++b;
@@ -118,6 +123,7 @@ StatusOr<ProfileStore> ProfileStore::FromJson(const std::string& text) {
   std::string line;
   int lineno = 0;
   std::int64_t declared_cells = -1;
+  std::int64_t total_runs = 0;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
@@ -142,6 +148,10 @@ StatusOr<ProfileStore> ProfileStore::FromJson(const std::string& text) {
     if (store.cells_.count(parsed.first) > 0) {
       return InvalidArgumentError(where + ": duplicate cell");
     }
+    if (parsed.second.runs > kMaxTotalRuns - total_runs) {
+      return InvalidArgumentError(where + ": runs total exceeds 2^53");
+    }
+    total_runs += parsed.second.runs;
     store.cells_.emplace(parsed.first, parsed.second);
   }
   if (declared_cells < 0) {

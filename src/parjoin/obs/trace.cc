@@ -32,17 +32,6 @@ void TraceRecorder::OnRound(const mpc::RoundRecord& record) {
   rounds_.push_back(std::move(r));
 }
 
-void TraceRecorder::OnEvent(const char* kind, int round,
-                            const std::string& detail) {
-  TraceEvent e;
-  e.seq = next_seq_++;
-  e.kind = kind;
-  e.round = round;
-  e.detail = detail;
-  e.wall_ms = since_start_.ElapsedMillis();
-  events_.push_back(std::move(e));
-}
-
 void TraceRecorder::OnEventRecord(const mpc::EventRecord& event) {
   TraceEvent e;
   e.seq = next_seq_++;

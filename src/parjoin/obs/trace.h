@@ -74,8 +74,6 @@ class TraceRecorder : public mpc::RoundObserver {
 
   // mpc::RoundObserver (called from the charging thread only).
   void OnRound(const mpc::RoundRecord& record) override;
-  void OnEvent(const char* kind, int round,
-               const std::string& detail) override;
   void OnEventRecord(const mpc::EventRecord& event) override;
   void PushScope(const char* name) override;
   void PopScope() override;

@@ -7,8 +7,9 @@
 //     plain ScatterEvenly placements, so every query reuses them with a
 //     fresh per-query cluster; the sketches' fingerprints go into plan
 //     cache keys.
-//  2. Enqueue(spec, label): append to the FIFO admission queue.
-//  3. Drain(): serve everything, in admission-controlled batches.
+//  2. Enqueue(spec, label): append to the FIFO queue.
+//  3. Drain(): serve everything, one query at a time in arrival order;
+//     latency is wall-clock from Drain() start to each query's completion.
 //
 // Plan cache: keyed on the query structure (edges, outputs, p) plus the
 // sketch fingerprint of every referenced relation. A hit skips the
@@ -21,15 +22,6 @@
 // run, planning draws from a separate signature-derived planning cluster,
 // never from the execution cluster.)
 //
-// Admission control / FIFO fairness: each staged query's ticket is its
-// cost-model predicted load (>= 1). Queries are admitted in strict FIFO
-// order into a batch until the next ticket would exceed the configured
-// load budget; the query that did not fit is carried — already planned —
-// into the next batch, so an expensive query can delay but never starve
-// later ones, and a ticket larger than the whole budget still runs (as a
-// singleton batch). Batches execute sequentially on the simulator;
-// latency is wall-clock from Drain() start to each query's completion.
-//
 // Isolation: execution goes through plan::TryExecuteWithRecovery, which
 // also fills the plan's measured side, so a query that exhausts its
 // recovery attempts (or fails validation) yields an error Outcome — and
@@ -39,7 +31,6 @@
 #ifndef PARJOIN_SERVE_SERVER_H_
 #define PARJOIN_SERVE_SERVER_H_
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -67,9 +58,6 @@ struct ServerOptions {
   // Base seed; per-query cluster seeds derive from (seed, signature).
   std::uint64_t seed = 0xd1575ab4e9c0f372ULL;
   std::size_t plan_cache_capacity = 64;
-  // Admission budget per batch, in predicted-load units (tuples). <= 0:
-  // one query per batch.
-  double load_budget = 0;
   plan::PlannerOptions planner;
   // Default resilience options; Enqueue can override per query. Its
   // `profile` sink (when set) also backstops per-query overrides that
@@ -90,37 +78,10 @@ class Server {
     Relation<S> result;          // Normalize()d; empty when status is not ok
     bool cache_hit = false;
     // Time spent obtaining the plan: the planner's estimation pass (cold)
-    // or the cache lookup (warm).
+    // or the cache lookup (warm); 0 when the query failed before planning.
     double plan_ms = 0;
     double latency_ms = 0;  // Drain() start -> this query's completion
-    int batch = 0;          // 1-based admission batch index
-    double ticket = 1;      // predicted-load admission ticket
     plan::PhysicalPlan plan;
-  };
-
-  struct Metrics {
-    std::int64_t enqueued = 0;
-    std::int64_t served = 0;
-    std::int64_t failed = 0;
-    int batches = 0;
-    std::int64_t cold_plans = 0;
-    std::int64_t warm_plans = 0;
-    double cold_plan_ms_total = 0;
-    double warm_plan_ms_total = 0;
-  };
-
-  // Per-batch admission accounting, one entry per batch in batch order:
-  // how many queries were admitted, their combined predicted-load ticket
-  // against the budget, and whether a planned query was carried across
-  // the batch boundary (in: staged by an earlier batch; out: did not fit
-  // here and waits for the next one).
-  struct BatchStats {
-    int batch = 0;  // 1-based, matches Outcome::batch
-    int admitted = 0;
-    double ticket_load = 0;
-    bool carried_in = false;
-    bool carried_out = false;
-    std::string carried_out_label;  // "" unless carried_out
   };
 
   explicit Server(ServerOptions options)
@@ -129,6 +90,11 @@ class Server {
     // binaries validate p upstream.
     // parjoin-lint: allow(ingress-status)
     CHECK_GT(options_.p, 0);
+    // Created up front so a clean drain still exports queries_failed: 0.
+    for (const char* name :
+         {"queries_enqueued", "queries_served", "queries_failed"}) {
+      registry_metrics_.GetCounter(name);
+    }
   }
 
   // --- registration ---------------------------------------------------------
@@ -169,7 +135,7 @@ class Server {
     return registry_.find(name) != registry_.end();
   }
 
-  // --- admission ------------------------------------------------------------
+  // --- serving --------------------------------------------------------------
 
   Status Enqueue(QuerySpec spec, std::string label) {
     return Enqueue(std::move(spec), std::move(label), options_.exec);
@@ -186,61 +152,22 @@ class Server {
       }
     }
     queue_.push_back(Pending{std::move(label), std::move(spec), exec});
-    metrics_.enqueued += 1;
     registry_metrics_.GetCounter("queries_enqueued")->Increment();
-    registry_metrics_.GetGauge("admission_queue_depth")
-        ->Set(static_cast<double>(QueueDepth()));
     return OkStatus();
   }
 
-  std::int64_t QueueDepth() const {
-    return static_cast<std::int64_t>(queue_.size()) + (staged_ ? 1 : 0);
-  }
-
-  // Serves every enqueued query; one Outcome per query, admission order.
+  // Serves every enqueued query in arrival order; one Outcome per query.
   std::vector<Outcome> Drain() {
     std::vector<Outcome> outcomes;
     Stopwatch clock;
     obs::Histogram* latency = registry_metrics_.GetHistogram(
         "query_latency_ms", obs::DefaultLatencyBucketsMs());
-    while (!queue_.empty() || staged_.has_value()) {
-      metrics_.batches += 1;
-      const int batch_index = metrics_.batches;
-      BatchStats bstats;
-      bstats.batch = batch_index;
-      bstats.carried_in = staged_.has_value();
-      std::vector<Admitted> batch;
-      double used = 0;
-      for (;;) {
-        if (!staged_.has_value()) {
-          if (queue_.empty()) break;
-          staged_ = Stage(std::move(queue_.front()));
-          queue_.pop_front();
-        }
-        if (!batch.empty() && options_.load_budget > 0 &&
-            used + staged_->ticket > options_.load_budget) {
-          // Carries, already planned, into the next batch.
-          bstats.carried_out = true;
-          bstats.carried_out_label = staged_->label;
-          break;
-        }
-        used += staged_->ticket;
-        batch.push_back(std::move(*staged_));
-        staged_.reset();
-        if (options_.load_budget <= 0) break;
-      }
-      bstats.admitted = static_cast<int>(batch.size());
-      bstats.ticket_load = used;
-      batch_stats_.push_back(std::move(bstats));
-      registry_metrics_.GetCounter("batches")->Increment();
-      for (Admitted& adm : batch) {
-        Outcome out = Execute(std::move(adm), batch_index);
-        out.latency_ms = clock.ElapsedMillis();
-        latency->Observe(out.latency_ms);
-        outcomes.push_back(std::move(out));
-      }
-      registry_metrics_.GetGauge("admission_queue_depth")
-          ->Set(static_cast<double>(QueueDepth()));
+    while (!queue_.empty()) {
+      Outcome out = Execute(Stage(std::move(queue_.front())));
+      queue_.pop_front();
+      out.latency_ms = clock.ElapsedMillis();
+      latency->Observe(out.latency_ms);
+      outcomes.push_back(std::move(out));
     }
     const double elapsed_s = clock.ElapsedSeconds();
     if (elapsed_s > 0 && !outcomes.empty()) {
@@ -253,15 +180,12 @@ class Server {
 
   // --- introspection --------------------------------------------------------
 
-  const ServerOptions& options() const { return options_; }
   const PlanCache& plan_cache() const { return cache_; }
-  const Metrics& metrics() const { return metrics_; }
-  const std::vector<BatchStats>& batch_stats() const { return batch_stats_; }
 
   // The operational metrics registry (counters/gauges/histograms;
-  // obs/metrics.h). SyncMetrics() refreshes the registry's mirrors of
-  // internally-tracked values (cache counters, served/failed) — Drain()
-  // calls it on exit; call it before ToJson() when reading mid-stream.
+  // obs/metrics.h). SyncMetrics() refreshes the registry's mirrors of the
+  // plan cache's counters — Drain() calls it on exit; call it before
+  // ToJson() when reading mid-stream.
   obs::MetricsRegistry& metrics_registry() { return registry_metrics_; }
 
   void SyncMetrics() {
@@ -269,10 +193,6 @@ class Server {
     SyncCounter("plan_cache_hits", cc.hits);
     SyncCounter("plan_cache_misses", cc.misses);
     SyncCounter("plan_cache_evictions", cc.evictions);
-    SyncCounter("queries_served", metrics_.served);
-    SyncCounter("queries_failed", metrics_.failed);
-    SyncCounter("plans_cold", metrics_.cold_plans);
-    SyncCounter("plans_warm", metrics_.warm_plans);
   }
 
  private:
@@ -295,7 +215,6 @@ class Server {
     std::uint64_t signature = 0;
     bool cache_hit = false;
     double plan_ms = 0;
-    double ticket = 1;
     std::optional<TreeInstance<S>> instance;
     std::optional<plan::PhysicalPlan> plan;
   };
@@ -397,8 +316,6 @@ class Server {
       adm.plan = *cached;
       adm.cache_hit = true;
       adm.plan_ms = sw.ElapsedMillis();
-      metrics_.warm_plans += 1;
-      metrics_.warm_plan_ms_total += adm.plan_ms;
     } else {
       // Planning draws rng from its own signature-seeded cluster, so the
       // execution cluster's stream is identical on cold and warm runs.
@@ -407,24 +324,19 @@ class Server {
                                  options_.planner);
       adm.plan->planning_stats = plan_cluster.stats();
       adm.plan_ms = sw.ElapsedMillis();
-      metrics_.cold_plans += 1;
-      metrics_.cold_plan_ms_total += adm.plan_ms;
       cache_.Insert(key, *adm.plan);
     }
-    adm.ticket = std::max(1.0, adm.plan->predicted_load);
     return adm;
   }
 
-  Outcome Execute(Admitted adm, int batch_index) {
+  Outcome Execute(Admitted adm) {
     Outcome out;
     out.label = std::move(adm.label);
     out.cache_hit = adm.cache_hit;
     out.plan_ms = adm.plan_ms;
-    out.batch = batch_index;
-    out.ticket = adm.ticket;
     if (!adm.stage_status.ok()) {
       out.status = adm.stage_status;
-      metrics_.failed += 1;
+      registry_metrics_.GetCounter("queries_failed")->Increment();
       return out;
     }
     out.plan = std::move(*adm.plan);
@@ -481,12 +393,12 @@ class Server {
       // The cluster (possibly crash-shrunken) dies with this scope; the
       // next query gets a fresh one from the registered partitions.
       out.status = result.status();
-      metrics_.failed += 1;
+      registry_metrics_.GetCounter("queries_failed")->Increment();
       return out;
     }
     out.result = result->ToLocal();
     out.result.Normalize();
-    metrics_.served += 1;
+    registry_metrics_.GetCounter("queries_served")->Increment();
     return out;
   }
 
@@ -502,9 +414,6 @@ class Server {
   PlanCache cache_;
   std::unordered_map<std::string, Registered> registry_;
   std::deque<Pending> queue_;
-  std::optional<Admitted> staged_;
-  Metrics metrics_;
-  std::vector<BatchStats> batch_stats_;
   obs::MetricsRegistry registry_metrics_;
 };
 

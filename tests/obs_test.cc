@@ -318,6 +318,22 @@ TEST(ProfileTest, OutOfRangeIntegersAreTypedErrors) {
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << runs << ": " << st;
   }
 
+  // Two cells of 2^52 + 1 runs: each is under the 2^53 cap, their sum is
+  // over it, so the second cell (line 3) trips the check.
+  obs::ProfileStore two_cells = store;
+  two_cells.RecordExecution(MakeRecord(plan::Algorithm::kYannakakis,
+                                       QueryShape::kTree, 10, 20));
+  std::string wide_runs = two_cells.ToJson();
+  for (int cell = 0; cell < 2; ++cell) {
+    wide_runs = ReplaceOnce(wide_runs, "\"runs\":1,",
+                            "\"runs\":4503599627370497,");
+  }
+  const Status total = obs::ProfileStore::FromJson(wide_runs).status();
+  EXPECT_EQ(total.code(), StatusCode::kInvalidArgument) << total;
+  EXPECT_NE(total.message().find("profile line 3: runs total exceeds"),
+            std::string::npos)
+      << total;
+
   plan::CalibrationTable table;
   table.SetDefault(plan::Algorithm::kMatMulOutputSensitive, 2.5, 12);
   const std::string calib_path =

@@ -1,8 +1,8 @@
 // The parjoind serving core: plan-cache correctness (warm results
 // bit-identical to cold, at 1 and 4 threads), LRU/counter bookkeeping,
-// admission-controlled batching, and per-query fault isolation — a query
-// that exhausts its recovery attempts yields an error Outcome while the
-// server keeps serving.
+// FIFO serving order, the exported metrics, and per-query fault isolation
+// — a query that exhausts its recovery attempts yields an error Outcome
+// while the server keeps serving.
 
 #include <cstdint>
 #include <string>
@@ -62,12 +62,27 @@ serve::QuerySpec StarSpec() {
   return spec;
 }
 
-Server MakeServer(double load_budget = 0) {
+Server MakeServer() {
   serve::ServerOptions options;
   options.p = kP;
   options.seed = 99;
-  options.load_budget = load_budget;
   return Server(options);
+}
+
+// The metrics registry's JSON dump: what the server exports.
+std::string ExportedMetrics(Server& server) {
+  server.SyncMetrics();
+  return server.metrics_registry().ToJson();
+}
+
+// True when `json` carries the key `name` with exactly `value`.
+bool Exports(const std::string& json, const std::string& name,
+             std::int64_t value) {
+  const std::string field = "\"" + name + "\":" + std::to_string(value);
+  const std::size_t at = json.find(field);
+  if (at == std::string::npos) return false;
+  const char next = json[at + field.size()];
+  return next == ',' || next == '}';
 }
 
 // --- plan cache (unit) ------------------------------------------------------
@@ -148,10 +163,19 @@ TEST(Serve, WarmResultsBitIdenticalToColdAcrossThreads) {
     EXPECT_EQ(warm_out[0].result, cold_out[0].result);
     EXPECT_EQ(warm_out[1].result, cold_out[1].result);
 
-    EXPECT_EQ(warm.metrics().cold_plans, 2);
-    EXPECT_EQ(warm.metrics().warm_plans, 2);
-    EXPECT_GT(warm.plan_cache().counters().hits, 0);
+    EXPECT_EQ(warm.plan_cache().counters().misses, 2);
+    EXPECT_EQ(warm.plan_cache().counters().hits, 2);
     per_thread_results.push_back(warm_out[2].result);
+
+    // A clean drain still exports its zero failures, and nothing of the
+    // removed admission batches or duplicate plan counters.
+    const std::string json = ExportedMetrics(warm);
+    EXPECT_TRUE(Exports(json, "queries_failed", 0)) << json;
+    for (const char* gone :
+         {"batches", "plans_cold", "plans_warm", "admission_queue_depth"}) {
+      EXPECT_EQ(json.find(std::string("\"") + gone + "\""), std::string::npos)
+          << gone << " in " << json;
+    }
   }
   // And the threaded run matches the sequential one.
   ASSERT_EQ(per_thread_results.size(), 2u);
@@ -166,12 +190,18 @@ TEST(Serve, WarmPlanningIsCheaperThanCold) {
   }
   const std::vector<Outcome> outcomes = server.Drain();
   ASSERT_EQ(outcomes.size(), 6u);
-  const auto& m = server.metrics();
-  ASSERT_EQ(m.cold_plans, 1);
-  ASSERT_EQ(m.warm_plans, 5);
+  // Served in arrival order: the cold query first, then five hits.
+  double warm_plan_ms = 0;
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(outcomes[i].label, "m#" + std::to_string(i));
+    EXPECT_EQ(outcomes[i].cache_hit, i > 0);
+    if (i > 0) warm_plan_ms += outcomes[i].plan_ms;
+  }
+  ASSERT_EQ(server.plan_cache().counters().misses, 1);
+  ASSERT_EQ(server.plan_cache().counters().hits, 5);
   // Cold planning runs the planner's estimation rounds; warm planning is
   // an LRU lookup plus a plan copy — orders of magnitude apart.
-  EXPECT_LT(m.warm_plan_ms_total / 5, m.cold_plan_ms_total);
+  EXPECT_LT(warm_plan_ms / 5, outcomes[0].plan_ms);
   // A cache hit also skips the planning cluster entirely: cached plans
   // keep the cold run's planning_stats.
   EXPECT_EQ(outcomes[1].plan.planning_stats.rounds,
@@ -192,69 +222,9 @@ TEST(Serve, CacheEvictionForcesReplan) {
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_FALSE(outcomes[2].cache_hit);  // m0's plan was evicted by s0
   EXPECT_EQ(server.plan_cache().counters().evictions, 2);
-  EXPECT_EQ(server.metrics().cold_plans, 3);
+  EXPECT_EQ(server.plan_cache().counters().misses, 3);
   // Replanning from scratch still reproduces the same result.
   EXPECT_EQ(outcomes[2].result, outcomes[0].result);
-}
-
-// --- admission control ------------------------------------------------------
-
-TEST(Serve, ZeroBudgetServesOneQueryPerBatchInFifoOrder) {
-  Server server = MakeServer(/*load_budget=*/0);
-  RegisterTestRelations(server);
-  for (int rep = 0; rep < 4; ++rep) {
-    CHECK_OK(server.Enqueue(MatmulSpec(), "m#" + std::to_string(rep)));
-  }
-  const std::vector<Outcome> outcomes = server.Drain();
-  ASSERT_EQ(outcomes.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(outcomes[i].label, "m#" + std::to_string(i));
-    EXPECT_EQ(outcomes[i].batch, i + 1);
-  }
-  EXPECT_EQ(server.metrics().batches, 4);
-}
-
-TEST(Serve, BudgetPacksBatchesAndCarriesTheQueryThatDidNotFit) {
-  // Learn the (identical) per-query ticket from a probe run, then budget
-  // for exactly two tickets per batch: 5 queries -> batches 1,1,2,2,3.
-  Server probe = MakeServer();
-  RegisterTestRelations(probe);
-  CHECK_OK(probe.Enqueue(MatmulSpec(), "probe"));
-  const std::vector<Outcome> probed = probe.Drain();
-  ASSERT_EQ(probed.size(), 1u);
-  const double ticket = probed[0].ticket;
-  ASSERT_GE(ticket, 1.0);
-
-  Server server = MakeServer(/*load_budget=*/2.5 * ticket);
-  RegisterTestRelations(server);
-  for (int rep = 0; rep < 5; ++rep) {
-    CHECK_OK(server.Enqueue(MatmulSpec(), "m#" + std::to_string(rep)));
-  }
-  const std::vector<Outcome> outcomes = server.Drain();
-  ASSERT_EQ(outcomes.size(), 5u);
-  const std::vector<int> batches = {outcomes[0].batch, outcomes[1].batch,
-                                    outcomes[2].batch, outcomes[3].batch,
-                                    outcomes[4].batch};
-  EXPECT_EQ(batches, (std::vector<int>{1, 1, 2, 2, 3}));
-  for (const Outcome& out : outcomes) {
-    EXPECT_DOUBLE_EQ(out.ticket, ticket);
-  }
-  EXPECT_EQ(server.metrics().batches, 3);
-}
-
-TEST(Serve, TicketLargerThanBudgetStillRunsAsSingletonBatch) {
-  // A budget below any single ticket must not starve the queue.
-  Server server = MakeServer(/*load_budget=*/0.5);
-  RegisterTestRelations(server);
-  CHECK_OK(server.Enqueue(MatmulSpec(), "big0"));
-  CHECK_OK(server.Enqueue(MatmulSpec(), "big1"));
-  const std::vector<Outcome> outcomes = server.Drain();
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].status.ok()) << outcomes[0].status;
-  EXPECT_TRUE(outcomes[1].status.ok()) << outcomes[1].status;
-  EXPECT_EQ(outcomes[0].batch, 1);
-  EXPECT_EQ(outcomes[1].batch, 2);
-  EXPECT_EQ(server.QueueDepth(), 0);
 }
 
 // --- ingress and isolation --------------------------------------------------
@@ -268,7 +238,7 @@ TEST(Serve, EnqueueRejectsUnregisteredReference) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
   EXPECT_NE(status.message().find("'@nope'"), std::string::npos);
-  EXPECT_EQ(server.QueueDepth(), 0);
+  EXPECT_TRUE(server.Drain().empty());  // nothing was queued
 }
 
 TEST(Serve, DuplicateRegistrationIsFailedPrecondition) {
@@ -317,8 +287,20 @@ TEST(Serve, FaultExhaustedQueryDoesNotTakeDownTheServer) {
   EXPECT_TRUE(outcomes[1].cache_hit);
   EXPECT_EQ(outcomes[1].result, ref_out[0].result);
 
-  EXPECT_EQ(server.metrics().failed, 1);
-  EXPECT_EQ(server.metrics().served, 1);
+  // The exported counters match what the Outcomes report.
+  std::int64_t served = 0;
+  std::int64_t hits = 0;
+  for (const Outcome& out : outcomes) {
+    served += out.status.ok() ? 1 : 0;
+    hits += out.cache_hit ? 1 : 0;
+  }
+  const std::int64_t n = static_cast<std::int64_t>(outcomes.size());
+  const std::string json = ExportedMetrics(server);
+  EXPECT_TRUE(Exports(json, "queries_enqueued", n)) << json;
+  EXPECT_TRUE(Exports(json, "queries_served", served)) << json;
+  EXPECT_TRUE(Exports(json, "queries_failed", n - served)) << json;
+  EXPECT_TRUE(Exports(json, "plan_cache_hits", hits)) << json;
+  EXPECT_TRUE(Exports(json, "plan_cache_misses", n - hits)) << json;
 }
 
 // Recovery that stays within its attempt budget is invisible to the

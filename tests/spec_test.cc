@@ -380,7 +380,7 @@ TEST(FlagsParse, SharedFlagsFillOptionsInArgumentOrder) {
   EXPECT_EQ(ordered.checkpoint_interval, 5);
 
   // Each binary's own flags pass through unconsumed.
-  for (const char* arg : {"--json", "--demo=x", "--load-budget=5",
+  for (const char* arg : {"--json", "--demo=x", "--plan-cache-capacity=5",
                           "--metrics-out=m.json", "--resume=1", "spec"}) {
     auto consumed = ParseSharedFlag(arg, &exec, &obs);
     ASSERT_TRUE(consumed.ok()) << arg;
