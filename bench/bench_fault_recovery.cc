@@ -5,7 +5,7 @@
 //
 // E5 (checkpoint and recovery overhead):
 //   baseline     resilience off (the fast path: no checkpoints, no
-//                checksums, no budget)
+//                fault schedule, no budget)
 //   checkpoint   round-boundary replication every 2 rounds, no faults —
 //                the steady-state insurance premium
 //   faulted      full deterministic fault schedule (fail-stop crash +

@@ -6,7 +6,8 @@
 #
 # Usage:
 #   cmake -DCMD=<command line> -DTRACE_FILE=<path> -DCHECKER=<check_trace.py>
-#         -DPYTHON=<python3> [-DMIN_ROUNDS=<k>] -P check_trace_run.cmake
+#         -DPYTHON=<python3> [-DMIN_ROUNDS=<k>] [-DREQUIRE_KINDS=<k1,k2,...>]
+#         -P check_trace_run.cmake
 
 foreach(var CMD TRACE_FILE CHECKER PYTHON)
   if(NOT DEFINED ${var})
@@ -15,6 +16,10 @@ foreach(var CMD TRACE_FILE CHECKER PYTHON)
 endforeach()
 if(NOT DEFINED MIN_ROUNDS)
   set(MIN_ROUNDS 1)
+endif()
+set(require_kinds)
+if(DEFINED REQUIRE_KINDS)
+  set(require_kinds --require-kinds "${REQUIRE_KINDS}")
 endif()
 
 file(REMOVE "${TRACE_FILE}")
@@ -35,7 +40,7 @@ endif()
 
 execute_process(
   COMMAND "${PYTHON}" "${CHECKER}" "${TRACE_FILE}" --min-rounds
-          "${MIN_ROUNDS}"
+          "${MIN_ROUNDS}" ${require_kinds}
   RESULT_VARIABLE check_code
   OUTPUT_VARIABLE check_out
   ERROR_VARIABLE check_err)

@@ -61,10 +61,6 @@ class Rng {
   // Bernoulli trial with success probability prob.
   bool Bernoulli(double prob) { return UniformDouble() < prob; }
 
-  // Derives an independent child generator; useful for giving each logical
-  // component its own stream.
-  Rng Fork() { return Rng(Next()); }
-
  private:
   static std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -100,12 +100,6 @@ class Row {
 
   void Clear() { size_ = 0; }
 
-  // Appends all values of other.
-  void Append(const Row& other) {
-    Reserve(size_ + other.size_);
-    for (Value v : other) PushBack(v);
-  }
-
   // Returns the sub-row at the given positions.
   template <typename Positions>
   Row Select(const Positions& positions) const {

@@ -19,13 +19,14 @@
 // physical server hosts O(1) of them and measured loads match the analysis
 // up to the same constant the paper hides.
 //
-// Fault model (mpc/faults.h): when fault injection is enabled, each charged
-// round boundary consults the seeded FaultPlan. Stragglers stretch the
-// round's contribution to stats().critical_path; message corruption is
-// detected by FNV checksums in Exchange and repaired by retransmission
-// (charged as recovery_comm); a fail-stop crash shrinks the live server set
-// and aborts the attempt with RoundAbort so the executor can replay from
-// its last checkpoint (mpc/checkpoint.h, plan/executor.h). A load budget,
+// Fault model (mpc/faults.h): the Cluster is its one owner. When fault
+// injection is enabled, each charged round boundary consults the seeded
+// FaultPlan. Stragglers stretch the round's contribution to
+// stats().critical_path; a message corruption, decided here on Exchange
+// rounds, doubles one destination's delivery and books the extra copy as
+// recovery_comm; a fail-stop crash shrinks the live server set and aborts
+// the attempt with RoundAbort so the executor can replay from its last
+// checkpoint (mpc/checkpoint.h, plan/executor.h). A load budget,
 // independent of fault injection, aborts any round whose measured maximum
 // exceeds it — the executor's guardrail against planner mispredictions.
 
@@ -46,6 +47,8 @@
 
 namespace parjoin {
 namespace mpc {
+
+class ParallelRegion;
 
 class Cluster {
  public:
@@ -99,6 +102,17 @@ class Cluster {
     ApplyRound(FoldToPhysical(received), /*recovery=*/false);
   }
 
+  // Records an Exchange round (mpc/exchange.h), the only kind a message
+  // corruption can hit. A due corruption event picks the first virtual
+  // destination with traffic, scanning from the event's server; that
+  // message arrives corrupted and is sent again, so its received count
+  // doubles and the extra copy is booked as recovery_comm. Outputs are never
+  // perturbed: corruption models a detected and repaired fault.
+  void ChargeExchangeRound(std::vector<std::int64_t> received) {
+    const std::int64_t retransmitted = CorruptDueMessage(&received);
+    ApplyRound(FoldToPhysical(received), /*recovery=*/false, retransmitted);
+  }
+
   // Records a round of resilience traffic (checkpoint replication or
   // post-crash restore). Charged into recovery_comm as well as total_comm;
   // fault events do not fire on recovery rounds.
@@ -118,20 +132,14 @@ class Cluster {
   const Stats& stats() const { return stats_; }
 
   // Resets accounting (the ledger and the fault log) for a fresh
-  // measurement. Any ParallelRegion guards still alive (e.g. on the unwind
-  // path of an aborted attempt) are invalidated via the region epoch and
-  // become no-ops.
+  // measurement. Only between algorithms: a reset inside an open parallel
+  // region is a bug.
   void ResetStats() {
+    CHECK(regions_.empty()) << "ResetStats inside an open parallel region";
     stats_ = Stats();
     fault_log_.clear();
-    regions_.clear();
-    ++region_epoch_;
     charged_rounds_ = 0;
-    rounds_since_ckpt_ = 0;
-    pending_retransmit_comm_ = 0;
-    since_ckpt_.assign(static_cast<size_t>(live_), 0);
-    algo_rounds_done_ = 0;
-    ckpt_covered_rounds_ = 0;
+    RestartCheckpointProgress(0);
     fast_forward_remaining_ = 0;
   }
 
@@ -149,9 +157,6 @@ class Cluster {
 
   const std::vector<std::string>& fault_log() const { return fault_log_; }
 
-  // Exchange computes per-destination checksums only when this is true.
-  bool ChecksumVerificationEnabled() const { return faults_enabled_; }
-
   // --- Observation ----------------------------------------------------------
 
   // Attaches (or, with nullptr, detaches) a read-only round observer
@@ -161,54 +166,6 @@ class Cluster {
   // null check per charged round.
   void SetObserver(RoundObserver* observer) { observer_ = observer; }
   RoundObserver* observer() const { return observer_; }
-
-  // Called by Exchange with the FNV checksum of each destination's message
-  // before delivery is charged. If a corruption event is due, one
-  // destination's wire checksum arrives XOR-masked; the mismatch is
-  // detected, the corrupted copy discarded, and the retransmitted original
-  // delivered: (*received)[victim] doubles and the repair traffic is folded
-  // into recovery_comm at the next charged round. Returns true iff an event
-  // fired. Outputs are never perturbed — corruption models a detected and
-  // repaired fault, not silent data loss.
-  bool VerifyAndRepairMessages(const std::vector<std::uint64_t>& checksums,
-                               std::vector<std::int64_t>* received) {
-    // Elided (fast-forwarded) rounds are re-covered by the restored
-    // checkpoint: no corruption can fire inside the window — the event
-    // fires at the first live Exchange after it, exactly like an event
-    // whose scheduled round has already passed.
-    if (!faults_enabled_ || fast_forward_remaining_ > 0) return false;
-    CHECK_EQ(checksums.size(), received->size());
-    for (FaultEvent& e : plan_.events()) {
-      if (e.fired || e.kind != FaultKind::kCorruption) continue;
-      if (e.round > charged_rounds_ + 1) continue;
-      const size_t n = received->size();
-      size_t victim = n;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t idx = (static_cast<size_t>(e.server) + i) % n;
-        if ((*received)[idx] > 0) {
-          victim = idx;
-          break;
-        }
-      }
-      if (victim == n) return false;  // no traffic; event fires later
-      const std::uint64_t wire = checksums[victim] ^ e.corruption_mask;
-      CHECK_NE(wire, checksums[victim]);  // mask is nonzero by construction
-      e.fired = true;
-      e.fired_round = charged_rounds_ + 1;
-      stats_.retransmits += 1;
-      pending_retransmit_comm_ =
-          CheckedAdd(pending_retransmit_comm_, (*received)[victim]);
-      (*received)[victim] = CheckedAdd((*received)[victim],
-                                       (*received)[victim]);
-      Emit("retransmit", charged_rounds_ + 1,
-           "corruption detected at round " +
-               std::to_string(charged_rounds_ + 1) + ": dest " +
-               std::to_string(victim) + " checksum mismatch (mask " +
-               std::to_string(e.corruption_mask) + "), retransmitted");
-      return true;
-    }
-    return false;
-  }
 
   // --- Guardrails & checkpointing -------------------------------------------
 
@@ -223,10 +180,7 @@ class Cluster {
   void SetCheckpointInterval(int interval) {
     CHECK_GE(interval, 0);
     ckpt_interval_ = interval;
-    rounds_since_ckpt_ = 0;
-    since_ckpt_.assign(static_cast<size_t>(live_), 0);
-    algo_rounds_done_ = 0;
-    ckpt_covered_rounds_ = 0;
+    RestartCheckpointProgress(0);
   }
 
   // --- Resume points --------------------------------------------------------
@@ -250,12 +204,9 @@ class Cluster {
   // executor already pays for.
   void BeginAttempt(int skip_rounds) {
     CHECK_GE(skip_rounds, 0);
-    rounds_since_ckpt_ = 0;
-    since_ckpt_.assign(static_cast<size_t>(live_), 0);
-    algo_rounds_done_ = 0;
     // The restored snapshot re-covers exactly the elided rounds, so a
     // second crash before any new replication resumes from the same point.
-    ckpt_covered_rounds_ = skip_rounds;
+    RestartCheckpointProgress(skip_rounds);
     fast_forward_remaining_ = skip_rounds;
     if (skip_rounds > 0) {
       stats_.resumes += 1;
@@ -281,13 +232,8 @@ class Cluster {
     straggle_threshold_ = threshold;
   }
 
-  // Algorithm entry guard: a previous attempt must not leave a parallel
-  // region open (the epoch mechanism makes abandoned guards no-ops, but a
-  // *live* region at dispatch means unbalanced Begin/End — a bug).
-  void CheckQuiescent() const {
-    CHECK(regions_.empty())
-        << "parallel region still open at algorithm entry";
-  }
+ private:
+  friend class ParallelRegion;
 
   // --- Parallel regions -----------------------------------------------------
   //
@@ -298,35 +244,29 @@ class Cluster {
   // maxima), but a naive round count would sum the branches. A parallel
   // region fixes the ROUND accounting: the region contributes
   // max-over-branches rounds, matching the paper's O(1)-round claim.
-  // Regions nest. Use the ParallelRegion RAII guard below.
+  // Regions nest. Only the ParallelRegion RAII guard below opens one, so
+  // every region is closed, on the unwind path of an aborted attempt too.
+  struct Region {
+    int begin_rounds = 0;
+    int branch_start = 0;
+    int longest_branch = 0;
+  };
   void BeginParallelRegion() {
     regions_.push_back({stats_.rounds, stats_.rounds, 0});
   }
   void BeginParallelBranch() {
-    CHECK(!regions_.empty()) << "branch outside a parallel region";
     Region& r = regions_.back();
     r.longest_branch =
         std::max(r.longest_branch, stats_.rounds - r.branch_start);
     r.branch_start = stats_.rounds;
   }
   void EndParallelRegion() {
-    CHECK(!regions_.empty());
     Region r = regions_.back();
     regions_.pop_back();
     r.longest_branch =
         std::max(r.longest_branch, stats_.rounds - r.branch_start);
     stats_.rounds = r.begin_rounds + r.longest_branch;
   }
-
-  // Bumped by ResetStats; ParallelRegion guards from an older epoch no-op.
-  std::uint64_t region_epoch() const { return region_epoch_; }
-
- private:
-  struct Region {
-    int begin_rounds = 0;
-    int branch_start = 0;
-    int longest_branch = 0;
-  };
 
   // One planned straggler re-balance: the victim's pending round load and
   // how it lands on the other live servers.
@@ -426,8 +366,45 @@ class Cluster {
     return physical;
   }
 
-  // The single round-accounting core. `physical` has size live_.
-  void ApplyRound(const std::vector<std::int64_t>& physical, bool recovery) {
+  // Fires the first due corruption event on an Exchange round's
+  // per-destination counts and returns the re-sent tuples (0 when none
+  // fires). An event that finds no traffic stays pending, and none fires
+  // inside a resume window: elided rounds are re-covered by the restored
+  // checkpoint, so the event fires at the first live Exchange after it,
+  // exactly like an event whose scheduled round has already passed.
+  std::int64_t CorruptDueMessage(std::vector<std::int64_t>* received) {
+    if (!faults_enabled_ || fast_forward_remaining_ > 0) return 0;
+    const int round = charged_rounds_ + 1;
+    for (FaultEvent& e : plan_.events()) {
+      if (e.fired || e.kind != FaultKind::kCorruption || e.round > round) {
+        continue;
+      }
+      const size_t n = received->size();
+      for (size_t i = 0; i < n; ++i) {
+        const size_t victim = (static_cast<size_t>(e.server) + i) % n;
+        std::int64_t& count = (*received)[victim];
+        if (count <= 0) continue;
+        const std::int64_t resent = count;
+        count = CheckedAdd(count, resent);
+        e.fired = true;
+        stats_.retransmits += 1;
+        Emit("retransmit", round,
+             "corruption detected at round " + std::to_string(round) +
+                 ": dest " + std::to_string(victim) +
+                 " checksum mismatch (mask " +
+                 std::to_string(e.corruption_mask) + "), retransmitted");
+        return resent;
+      }
+      return 0;  // no traffic this round; the event fires later
+    }
+    return 0;
+  }
+
+  // The single round-accounting core. `physical` has size live_;
+  // `retransmitted` is the part of it a corruption re-sent
+  // (ChargeExchangeRound), booked as recovery traffic.
+  void ApplyRound(const std::vector<std::int64_t>& physical, bool recovery,
+                  std::int64_t retransmitted = 0) {
     RoundRecord record;
     record.recovery = recovery;
     for (std::int64_t r : physical) {
@@ -460,7 +437,6 @@ class Cluster {
         if (e.fired || e.kind != FaultKind::kStraggler) continue;
         if (e.round > round) continue;
         e.fired = true;
-        e.fired_round = round;
         const int victim =
             e.server % static_cast<int>(physical.size());
         const bool active = straggle_threshold_ > 0 &&
@@ -490,14 +466,7 @@ class Cluster {
       round_time = std::max(round_time, rb.effective);
     }
     BookRound(record, round_time);
-
-    // Retransmission traffic from VerifyAndRepairMessages is already in
-    // this round's physical counts; book it as recovery traffic here.
-    if (pending_retransmit_comm_ > 0) {
-      stats_.recovery_comm =
-          CheckedAdd(stats_.recovery_comm, pending_retransmit_comm_);
-      pending_retransmit_comm_ = 0;
-    }
+    stats_.recovery_comm = CheckedAdd(stats_.recovery_comm, retransmitted);
 
     for (const Rebalance& rb : rebalances) {
       ChargeRebalanceRound(rb);
@@ -531,11 +500,12 @@ class Cluster {
         if (e.fired || e.kind != FaultKind::kCrash) continue;
         if (e.round > charged_rounds_) continue;
         e.fired = true;
-        e.fired_round = charged_rounds_;
         stats_.crashes += 1;
         const int victim = e.server % live_;
         live_ -= 1;
-        FoldSinceCheckpoint();
+        // Traffic accumulated toward the next checkpoint follows the same
+        // v mod p re-hosting as the virtual servers themselves.
+        since_ckpt_ = FoldToPhysical(since_ckpt_);
         RoundAbort abort;
         abort.reason = RoundAbort::Reason::kServerCrash;
         abort.round = charged_rounds_;
@@ -572,22 +542,19 @@ class Cluster {
     }
   }
 
-  // After a crash, traffic accumulated toward the next checkpoint follows
-  // the same v mod p re-hosting as the virtual servers themselves.
-  void FoldSinceCheckpoint() {
-    std::vector<std::int64_t> folded(static_cast<size_t>(live_), 0);
-    for (size_t s = 0; s < since_ckpt_.size(); ++s) {
-      std::int64_t& slot = folded[s % static_cast<size_t>(live_)];
-      slot = CheckedAdd(slot, since_ckpt_[s]);
-    }
-    since_ckpt_ = std::move(folded);
+  // Restarts per-attempt checkpoint progress, with the first `covered`
+  // algorithm rounds counted as already replicated.
+  void RestartCheckpointProgress(int covered) {
+    rounds_since_ckpt_ = 0;
+    since_ckpt_.assign(static_cast<size_t>(live_), 0);
+    algo_rounds_done_ = 0;
+    ckpt_covered_rounds_ = covered;
   }
 
   int live_;
   Rng rng_;
   Stats stats_;
   std::vector<Region> regions_;
-  std::uint64_t region_epoch_ = 0;
 
   // Monotone count of charged rounds since ResetStats. Fault schedules key
   // off this, not stats_.rounds, which EndParallelRegion rewrites downward.
@@ -601,7 +568,6 @@ class Cluster {
   int ckpt_interval_ = 0;
   int rounds_since_ckpt_ = 0;
   std::vector<std::int64_t> since_ckpt_;
-  std::int64_t pending_retransmit_comm_ = 0;
 
   // Fine-grained recovery state: non-recovery rounds completed this
   // attempt (elided ones included — they represent completed progress),
@@ -639,29 +605,22 @@ class TraceScope {
 };
 
 // RAII guard for a parallel region; call NextBranch() before each branch.
-// Abort-safe: if the cluster is reset while the guard is alive (the retry
-// path after a RoundAbort unwound through an algorithm), the guard's epoch
-// goes stale and its remaining operations become no-ops instead of
-// corrupting the fresh region stack.
+// The only way to open a region, so regions balance by construction: a
+// RoundAbort that unwinds through an algorithm closes each region on the
+// way out.
 class ParallelRegion {
  public:
-  explicit ParallelRegion(Cluster& cluster)
-      : cluster_(cluster), epoch_(cluster.region_epoch()) {
+  explicit ParallelRegion(Cluster& cluster) : cluster_(cluster) {
     cluster_.BeginParallelRegion();
   }
-  ~ParallelRegion() {
-    if (epoch_ == cluster_.region_epoch()) cluster_.EndParallelRegion();
-  }
+  ~ParallelRegion() { cluster_.EndParallelRegion(); }
   ParallelRegion(const ParallelRegion&) = delete;
   ParallelRegion& operator=(const ParallelRegion&) = delete;
 
-  void NextBranch() {
-    if (epoch_ == cluster_.region_epoch()) cluster_.BeginParallelBranch();
-  }
+  void NextBranch() { cluster_.BeginParallelBranch(); }
 
  private:
   Cluster& cluster_;
-  std::uint64_t epoch_;
 };
 
 }  // namespace mpc

@@ -5,7 +5,9 @@
 // charges each destination the number of tuples it received. All
 // higher-level primitives and algorithms move data exclusively through the
 // functions in this header, so the Cluster ledger sees every tuple that
-// crosses a server boundary.
+// crosses a server boundary. Exchange and ExchangeMulti charge through
+// Cluster::ChargeExchangeRound, where the cluster's fault model may corrupt
+// one message (mpc/faults.h).
 //
 // Threading: routing and delivery are executed with ParallelFor — first a
 // per-source-part bucketing pass (each source part routes independently),
@@ -46,24 +48,6 @@ inline bool UseThreadedRoute(std::int64_t total_items, int num_src,
   return ParallelForThreads() > 1 && num_src > 1 &&
          total_items >= kMinItemsForThreadedRoute &&
          static_cast<std::int64_t>(num_src) * num_dest <= kMaxBucketMatrix;
-}
-
-// Verifies the delivered messages against their FNV checksums (fault
-// injection may corrupt one in flight; detection triggers a charged
-// retransmission — see Cluster::VerifyAndRepairMessages), then charges the
-// round. Checksums are computed only when verification is armed, so the
-// fault-free path pays nothing. Runs on the main thread after delivery.
-template <typename T>
-void VerifyAndCharge(Cluster& cluster, const Dist<T>& out,
-                     std::vector<std::int64_t>& received) {
-  if (cluster.ChecksumVerificationEnabled()) {
-    std::vector<std::uint64_t> checksums(received.size(), 0);
-    for (int d = 0; d < out.num_parts(); ++d) {
-      checksums[static_cast<std::size_t>(d)] = MessageChecksum(out.part(d));
-    }
-    cluster.VerifyAndRepairMessages(checksums, &received);
-  }
-  cluster.ChargeRound(received);
 }
 
 // Concatenates buckets[s][d] over s (source order) into out->part(d) for
@@ -132,7 +116,7 @@ Dist<T> RouteRound(Cluster& cluster, const Dist<T>& in, int num_dest_parts,
     // Phase 2: every destination concatenates its buckets in source order.
     DeliverBuckets(&buckets, &out, &received);
   }
-  VerifyAndCharge(cluster, out, received);
+  cluster.ChargeExchangeRound(std::move(received));
   return out;
 }
 

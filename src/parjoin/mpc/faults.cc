@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "parjoin/common/logging.h"
 #include "parjoin/common/random.h"
 
 namespace parjoin {
@@ -52,7 +53,7 @@ FaultPlan FaultPlan::Generate(const FaultConfig& config, int p) {
     e.kind = FaultKind::kCorruption;
     e.round = static_cast<int>(rng.Uniform(1, config.horizon));
     e.server = static_cast<int>(rng.Uniform(0, p - 1));
-    e.corruption_mask = rng.Next() | 1;  // nonzero: the flip is detectable
+    e.corruption_mask = rng.Next() | 1;  // nonzero: some bit flips
     plan.events_.push_back(e);
   }
   return plan;

@@ -13,15 +13,15 @@
 //                         a delay factor; the simulator folds it into the
 //                         Stats::critical_path metric (Σ round_max × factor)
 //                         without perturbing loads or outputs.
-//  * message corruption — at the first Exchange at or after the scheduled
-//                         round, one destination's message arrives with a
-//                         nonzero XOR mask applied to its FNV-1a checksum.
-//                         The receiver detects the mismatch, discards the
-//                         corrupted copy, and the retransmitted original is
-//                         delivered — outputs are unaffected, but the
-//                         repair doubles that destination's received count
-//                         and the extra traffic is charged as recovery
-//                         communication.
+//  * message corruption — at the first Exchange round with traffic at or
+//                         after the scheduled round, one destination's
+//                         message arrives corrupted (the event's mask names
+//                         the flipped bits in the fault log) and is sent
+//                         again. Outputs are unaffected, but the repair
+//                         doubles that destination's received count and the
+//                         extra copy is charged as recovery communication.
+//                         Cluster::ChargeExchangeRound decides and charges
+//                         it.
 //
 // Same (cluster seed, fault seed) ⇒ same schedule ⇒ same recovery path:
 // the fault machinery draws exclusively from FaultConfig::seed, so faulted
@@ -30,13 +30,9 @@
 #ifndef PARJOIN_MPC_FAULTS_H_
 #define PARJOIN_MPC_FAULTS_H_
 
-#include <concepts>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
-
-#include "parjoin/common/logging.h"
 
 namespace parjoin {
 namespace mpc {
@@ -75,7 +71,6 @@ struct FaultEvent {
   double factor = 1.0;                // straggler delay factor
   std::uint64_t corruption_mask = 0;  // nonzero bit flips (corruption only)
   bool fired = false;
-  int fired_round = -1;  // charged round at which it actually fired
 };
 
 // The seeded schedule. Generation is a pure function of (config, p): two
@@ -113,58 +108,6 @@ struct RoundAbort {
 
   std::string ToString() const;
 };
-
-// --- FNV-1a message checksums ------------------------------------------------
-
-namespace internal_faults {
-
-inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-inline std::uint64_t FnvMixWord(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-// Items opt into content hashing by providing an ADL-visible
-// FaultContentHash(item) (Tuple<S> does, in relation/relation.h).
-template <typename T>
-concept HasFaultContentHash = requires(const T& item) {
-  { FaultContentHash(item) } -> std::convertible_to<std::uint64_t>;
-};
-
-}  // namespace internal_faults
-
-// FNV-1a checksum of one delivered message (the vector of items bound for
-// one destination). Content-hashed when the item type provides
-// FaultContentHash or has unique object representations (no padding —
-// padding bytes would be nondeterministic); otherwise falls back to a
-// length-only checksum, still enough to exercise the detection path.
-template <typename T>
-std::uint64_t MessageChecksum(const std::vector<T>& message) {
-  using internal_faults::FnvMixWord;
-  using internal_faults::kFnvPrime;
-  std::uint64_t h = internal_faults::kFnvOffset;
-  h = FnvMixWord(h, static_cast<std::uint64_t>(message.size()));
-  for (const T& item : message) {
-    if constexpr (internal_faults::HasFaultContentHash<T>) {
-      h = FnvMixWord(h, FaultContentHash(item));
-    } else if constexpr (std::has_unique_object_representations_v<T>) {
-      const unsigned char* bytes =
-          reinterpret_cast<const unsigned char*>(&item);
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        h ^= bytes[i];
-        h *= kFnvPrime;
-      }
-    } else {
-      h = FnvMixWord(h, 0x9e3779b97f4a7c15ULL);
-    }
-  }
-  return h;
-}
 
 }  // namespace mpc
 }  // namespace parjoin

@@ -57,8 +57,6 @@ struct ExecutionRecord {
   double predicted_load = 0;        // uncalibrated bound
   std::int64_t measured_load = 0;   // cluster stats().max_load
   double wall_ms = 0;               // wall time of the execution phase
-  int attempts = 1;
-  bool degraded = false;
 };
 
 // Observation seam for the profile store (src/parjoin/obs/profile.h
@@ -72,7 +70,7 @@ class ExecutionProfileSink {
 
 // Resilience knobs for TryExecuteWithRecovery / PlanAndRun. All off by
 // default: the default-constructed options run the fast path with zero
-// overhead (no checkpoints, no checksums, no budget).
+// overhead (no checkpoints, no fault schedule, no budget).
 struct ExecutionOptions {
   mpc::FaultConfig faults;      // injection schedule (faults.enabled arms it)
   int checkpoint_interval = 0;  // rounds between replication rounds; 0 = off
@@ -133,8 +131,6 @@ inline void RecordProfiledExecution(const PhysicalPlan& plan,
   }
   rec.measured_load = plan.measured_load;
   rec.wall_ms = wall_ms;
-  rec.attempts = plan.recovery.attempts;
-  rec.degraded = plan.recovery.degraded_to_baseline;
   options.profile->RecordExecution(rec);
 }
 
@@ -193,7 +189,6 @@ inline bool ReplanAfterBudgetAbort(PhysicalPlan& plan,
 template <SemiringC S>
 DistRelation<S> DispatchAlgorithm(mpc::Cluster& cluster, Algorithm a,
                                   TreeInstance<S> instance) {
-  cluster.CheckQuiescent();
   switch (a) {
     case Algorithm::kSingleRelation:
       CHECK_EQ(instance.query.num_edges(), 1);

@@ -9,14 +9,11 @@
 #define PARJOIN_RELATION_RELATION_H_
 
 #include <algorithm>
-#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "parjoin/common/hash.h"
 #include "parjoin/common/logging.h"
 #include "parjoin/common/row.h"
 #include "parjoin/mpc/cluster.h"
@@ -35,28 +32,6 @@ struct Tuple {
     return a.row == b.row && a.w == b.w;
   }
 };
-
-// ADL hook for mpc::MessageChecksum: Tuple<S> has padding and (via Row) a
-// heap buffer, so fault-injection checksums must hash content, not bytes.
-template <SemiringC S>
-std::uint64_t FaultContentHash(const Tuple<S>& t) {
-  using W = typename S::ValueType;
-  std::uint64_t w_hash = 0;
-  if constexpr (std::is_integral_v<W>) {
-    w_hash = static_cast<std::uint64_t>(t.w);
-  } else {
-    // Struct carriers (e.g. TopTwoCosts): every bit must be value content,
-    // otherwise padding would make equal annotations hash differently.
-    static_assert(std::has_unique_object_representations_v<W>,
-                  "annotation type with padding bits needs its own "
-                  "FaultContentHash overload");
-    const auto* bytes = reinterpret_cast<const unsigned char*>(&t.w);
-    for (std::size_t i = 0; i < sizeof(W); ++i) {
-      w_hash = HashCombine(w_hash, bytes[i]);
-    }
-  }
-  return HashCombine(t.row.Hash(), w_hash);
-}
 
 // A local annotated relation. Tuples are not required to be unique; a
 // relation is interpreted as the ⊕-aggregation of its tuples per row

@@ -27,11 +27,6 @@ struct RelationSketch {
   std::int64_t size = 0;
   std::vector<Kmv> columns;  // one sketch per schema position
 
-  // Estimated distinct values in column i.
-  double ColumnDistinct(int i) const {
-    return columns[static_cast<std::size_t>(i)].Estimate();
-  }
-
   // A 64-bit digest of (size, retained sketch hashes). Two relations with
   // equal contents fingerprint equally; differing contents collide only if
   // size AND every retained minimum agree — vanishingly unlikely and, for

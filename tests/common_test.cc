@@ -56,20 +56,6 @@ TEST(RngTest, UniformDoubleInUnitInterval) {
   EXPECT_NEAR(sum / 10000, 0.5, 0.02);
 }
 
-TEST(RngTest, ForkIsIndependent) {
-  Rng parent(5);
-  Rng child = parent.Fork();
-  // The child stream should not replay the parent stream.
-  Rng parent2(5);
-  parent2.Fork();
-  EXPECT_EQ(parent.Next(), parent2.Next()) << "fork must be deterministic";
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (child.Next() == parent.Next()) ++same;
-  }
-  EXPECT_LE(same, 1);
-}
-
 TEST(ZipfTest, SkewZeroIsRoughlyUniform) {
   Rng rng(3);
   ZipfSampler zipf(10, 0.0);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -25,6 +26,7 @@
 #include "parjoin/mpc/dist.h"
 #include "parjoin/mpc/exchange.h"
 #include "parjoin/mpc/faults.h"
+#include "parjoin/mpc/primitives.h"
 #include "parjoin/plan/executor.h"
 #include "parjoin/semiring/semirings.h"
 #include "parjoin/workload/generators.h"
@@ -250,39 +252,134 @@ TEST(FaultRecoveryTest, SameSeedsReproduceTheRunExactly) {
 
 // --- corruption repair in isolation -------------------------------------------
 
-TEST(FaultCorruptionTest, RetransmissionRepairsWithoutChangingOutput) {
-  using KV = std::pair<std::int64_t, std::int64_t>;
-  const int p = 4;
-  auto make_input = [p] {
-    std::vector<KV> items;
-    for (std::int64_t i = 0; i < 200; ++i) items.emplace_back(i, i % 7);
-    return mpc::ScatterEvenly(std::move(items), p);
-  };
-  auto route = [p](const KV& kv) {
-    return static_cast<int>(kv.first % p);
-  };
+using KV = std::pair<std::int64_t, std::int64_t>;
 
-  mpc::Cluster clean(p);
-  const auto clean_parts =
-      mpc::Exchange(clean, make_input(), p, route).parts();
+// Routes an item to the virtual destination its key names.
+int DestOf(const KV& kv) { return static_cast<int>(kv.first); }
 
-  mpc::Cluster faulty(p);
+// `count` items bound for virtual destination `dest`.
+void AddItems(std::vector<KV>* items, int dest, int count) {
+  for (int i = 0; i < count; ++i) items->emplace_back(dest, i);
+}
+
+// The one corruption event a corruption-only schedule holds, due at round 1.
+mpc::FaultConfig CorruptionOnly() {
   mpc::FaultConfig config;
   config.crashes = 0;
   config.stragglers = 0;
   config.corruptions = 1;
   config.horizon = 1;
+  return config;
+}
+
+std::string RetransmitLine(int round, int dest, std::uint64_t mask) {
+  return "corruption detected at round " + std::to_string(round) +
+         ": dest " + std::to_string(dest) + " checksum mismatch (mask " +
+         std::to_string(mask) + "), retransmitted";
+}
+
+TEST(FaultCorruptionTest, RetransmissionRepairsWithoutChangingOutput) {
+  const int p = 4;
+  const int num_dest = 8;  // virtual destinations 4..7 fold onto 0..3
+  const mpc::FaultConfig config = CorruptionOnly();
+  const mpc::FaultEvent event = mpc::FaultPlan::Generate(config, p).events()[0];
+  ASSERT_EQ(event.kind, mpc::FaultKind::kCorruption);
+  ASSERT_EQ(event.round, 1);
+  // Scanning from the event's server, destinations s..s+2 are empty, so the
+  // victim is s+3 (mod 8); s+6 carries traffic too but comes later.
+  const int victim = (event.server + 3) % num_dest;
+  const int other = (event.server + 6) % num_dest;
+  std::vector<KV> items;
+  AddItems(&items, victim, 10);
+  AddItems(&items, other, 15);
+
+  mpc::Cluster clean(p);
+  const auto clean_parts =
+      mpc::Exchange(clean, mpc::ScatterEvenly(items, p), num_dest, DestOf)
+          .parts();
+
+  mpc::Cluster faulty(p);
   faulty.EnableFaults(config);
   const auto faulty_parts =
-      mpc::Exchange(faulty, make_input(), p, route).parts();
+      mpc::Exchange(faulty, mpc::ScatterEvenly(items, p), num_dest, DestOf)
+          .parts();
 
   EXPECT_EQ(clean_parts, faulty_parts);
-  EXPECT_EQ(faulty.stats().retransmits, 1);
-  EXPECT_GT(faulty.stats().recovery_comm, 0);
-  // The repaired destination received its message twice.
-  EXPECT_GT(faulty.stats().total_comm, clean.stats().total_comm);
-  EXPECT_EQ(faulty.stats().total_comm - faulty.stats().recovery_comm,
-            clean.stats().total_comm);
+  const mpc::Cluster::Stats& stats = faulty.stats();
+  EXPECT_EQ(stats.rounds, 1);
+  EXPECT_EQ(stats.retransmits, 1);
+  // The victim's 10 tuples arrive twice; the copy is recovery traffic.
+  EXPECT_EQ(stats.recovery_comm, 10);
+  EXPECT_EQ(stats.total_comm, clean.stats().total_comm + 10);
+  EXPECT_EQ(stats.max_load, 20);
+  EXPECT_EQ(stats.critical_path, 20);
+  ASSERT_EQ(faulty.fault_log().size(), 1u);
+  EXPECT_EQ(faulty.fault_log()[0],
+            RetransmitLine(1, victim, event.corruption_mask));
+}
+
+// 5 + d items bound for each destination d < p.
+std::vector<KV> ItemsForEveryServer(int p) {
+  std::vector<KV> items;
+  for (int d = 0; d < p; ++d) AddItems(&items, d, 5 + d);
+  return items;
+}
+
+TEST(FaultCorruptionTest, PendingCorruptionWaitsForTheNextExchange) {
+  const int p = 4;
+  const mpc::FaultConfig config = CorruptionOnly();
+  const mpc::FaultEvent event = mpc::FaultPlan::Generate(config, p).events()[0];
+  const std::vector<KV> items = ItemsForEveryServer(p);
+
+  mpc::Cluster cluster(p);
+  cluster.EnableFaults(config);
+  // None of these rounds is an Exchange, and the empty Exchange delivers
+  // nothing to corrupt: the due event stays pending through all of them.
+  cluster.ChargeUniformRound(3);
+  mpc::Gather(cluster, mpc::ScatterEvenly(items, p));
+  mpc::Sort(cluster, mpc::ScatterEvenly(items, p), std::less<KV>());
+  mpc::Exchange(cluster, mpc::Dist<KV>(p), p, DestOf);
+  EXPECT_EQ(cluster.stats().retransmits, 0);
+  EXPECT_EQ(cluster.stats().recovery_comm, 0);
+  EXPECT_TRUE(cluster.fault_log().empty());
+
+  const mpc::Cluster::Stats before = cluster.stats();
+  mpc::Exchange(cluster, mpc::ScatterEvenly(items, p), p, DestOf);
+  const mpc::Cluster::Stats& stats = cluster.stats();
+  const std::int64_t victim_load = 5 + event.server;
+  EXPECT_EQ(stats.rounds, 5);
+  EXPECT_EQ(stats.retransmits, 1);
+  EXPECT_EQ(stats.recovery_comm, victim_load);
+  EXPECT_EQ(stats.total_comm - before.total_comm,
+            static_cast<std::int64_t>(items.size()) + victim_load);
+  ASSERT_EQ(cluster.fault_log().size(), 1u);
+  EXPECT_EQ(cluster.fault_log()[0],
+            RetransmitLine(5, event.server, event.corruption_mask));
+}
+
+TEST(FaultCorruptionTest, NoCorruptionInsideAResumeWindow) {
+  const int p = 4;
+  const mpc::FaultConfig config = CorruptionOnly();
+  const mpc::FaultEvent event = mpc::FaultPlan::Generate(config, p).events()[0];
+  const std::vector<KV> items = ItemsForEveryServer(p);
+
+  mpc::Cluster cluster(p);
+  cluster.EnableFaults(config);
+  cluster.BeginAttempt(2);
+  mpc::Exchange(cluster, mpc::ScatterEvenly(items, p), p, DestOf);  // elided
+  mpc::Exchange(cluster, mpc::ScatterEvenly(items, p), p, DestOf);  // elided
+  EXPECT_EQ(cluster.stats().resumed_rounds, 2);
+  EXPECT_EQ(cluster.stats().retransmits, 0);
+  EXPECT_EQ(cluster.stats().total_comm, 0);
+  ASSERT_EQ(cluster.fault_log().size(), 1u);  // the resume line only
+
+  mpc::Exchange(cluster, mpc::ScatterEvenly(items, p), p, DestOf);
+  EXPECT_EQ(cluster.stats().rounds, 1);
+  EXPECT_EQ(cluster.stats().retransmits, 1);
+  EXPECT_EQ(cluster.stats().recovery_comm, 5 + event.server);
+  ASSERT_EQ(cluster.fault_log().size(), 2u);
+  EXPECT_EQ(cluster.fault_log()[1],
+            RetransmitLine(3, event.server, event.corruption_mask));
 }
 
 // --- stragglers and the critical path -----------------------------------------
@@ -868,17 +965,15 @@ TEST(ReplanTest, ReplanOffKeepsTheDegradePath) {
 
 // --- abort safety of the accounting machinery ---------------------------------
 
-TEST(AbortSafetyTest, ResetStatsInvalidatesLiveRegions) {
+TEST(AbortSafetyDeathTest, ResetStatsInsideARegionAborts) {
   mpc::Cluster cluster(4);
-  {
-    mpc::ParallelRegion region(cluster);
-    region.NextBranch();
-    cluster.ResetStats();  // stale guard must become a no-op
-    region.NextBranch();
-  }
-  cluster.CheckQuiescent();
-  cluster.ChargeUniformRound(3);
-  EXPECT_EQ(cluster.stats().rounds, 1);
+  EXPECT_DEATH(
+      {
+        mpc::ParallelRegion region(cluster);
+        region.NextBranch();
+        cluster.ResetStats();
+      },
+      "ResetStats inside an open parallel region");
 }
 
 TEST(AbortSafetyTest, RoundAbortUnwindClosesRegions) {
@@ -894,7 +989,7 @@ TEST(AbortSafetyTest, RoundAbortUnwindClosesRegions) {
     EXPECT_NE(abort.ToString().find("exceeded budget"), std::string::npos);
   }
   ASSERT_TRUE(aborted);
-  cluster.CheckQuiescent();  // the unwound guard closed its region
+  cluster.ResetStats();  // aborts unless the unwound guard closed its region
   cluster.SetLoadBudget(0);
   cluster.ChargeUniformRound(100);
   EXPECT_EQ(cluster.stats().max_load, 100);

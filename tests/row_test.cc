@@ -120,13 +120,6 @@ TEST(RowTest, OrderingIsStrictWeak) {
   EXPECT_EQ(unique.size(), rows.size());
 }
 
-TEST(RowTest, AppendConcatenates) {
-  Row a{1, 2};
-  Row b{3, 4, 5};
-  a.Append(b);
-  EXPECT_EQ(a, (Row{1, 2, 3, 4, 5}));
-}
-
 TEST(RowTest, SelectProjects) {
   Row r{10, 20, 30, 40};
   std::vector<int> positions = {3, 1};

@@ -26,8 +26,11 @@ writer regression fails CI even when the in-tree parser drifts with it:
 
 Exit status 0 when the file validates, 1 otherwise (one message per
 problem). `--min-rounds K` additionally requires at least K round lines
-(CI smoke: an executed query must have charged rounds). `--self-test`
-runs the checker against embedded good/bad documents.
+(CI smoke: an executed query must have charged rounds).
+`--require-kinds k1,k2,...` additionally requires at least one event of
+each listed kind (a recovery smoke: every injected fault and every
+recovery step must show up). `--self-test` runs the checker against
+embedded good/bad documents.
 """
 
 import argparse
@@ -115,7 +118,7 @@ def check_event_payload(where, record, errors):
                           f"field '{field}'")
 
 
-def validate(lines, min_rounds=0):
+def validate(lines, min_rounds=0, require_kinds=()):
     """Validates parsed JSONL objects (index 0 = file line 1). Returns a
     list of error strings; empty means the trace is valid."""
     errors = []
@@ -136,6 +139,7 @@ def validate(lines, min_rounds=0):
                               f"{type(value).__name__}, expected string")
 
     rounds = 0
+    kinds = set()
     prev_wall = None
     for i, record in enumerate(lines[1:], start=2):
         where = f"line {i}"
@@ -150,6 +154,7 @@ def validate(lines, min_rounds=0):
             check_record(where, record, EVENT_FIELDS, errors,
                          optional=OPTIONAL_EVENT_FIELDS)
             check_event_payload(where, record, errors)
+            kinds.add(record.get("kind"))
         elif kind == "meta":
             errors.append(f"{where}: duplicate meta object")
             continue
@@ -169,10 +174,13 @@ def validate(lines, min_rounds=0):
             prev_wall = wall
     if rounds < min_rounds:
         errors.append(f"{rounds} round line(s), expected >= {min_rounds}")
+    for kind in require_kinds:
+        if kind not in kinds:
+            errors.append(f"no '{kind}' event, expected at least one")
     return errors
 
 
-def check_file(path, min_rounds=0):
+def check_file(path, min_rounds=0, require_kinds=()):
     try:
         with open(path, encoding="utf-8") as f:
             raw = f.read().splitlines()
@@ -185,7 +193,8 @@ def check_file(path, min_rounds=0):
             lines.append(json.loads(text))
         except json.JSONDecodeError as e:
             return [f"{path}: line {i}: not JSON: {e}"]
-    errors.extend(f"{path}: {e}" for e in validate(lines, min_rounds))
+    errors.extend(f"{path}: {e}"
+                  for e in validate(lines, min_rounds, require_kinds))
     return errors
 
 
@@ -218,7 +227,7 @@ GOOD_RESUME = {
 }
 
 SELF_TEST_CASES = [
-    # (description, lines, min_rounds, should_pass)
+    # (description, lines, min_rounds, should_pass[, require_kinds])
     ("meta only", [GOOD_META], 0, True),
     ("round and event", [GOOD_META, GOOD_ROUND, GOOD_EVENT], 1, True),
     ("empty trace", [], 0, False),
@@ -282,13 +291,18 @@ SELF_TEST_CASES = [
       {k: v for k, v in GOOD_RESUME.items() if k != "moved"}], 0, False),
     ("payload on plain event is allowed",
      [GOOD_META, GOOD_ROUND, dict(GOOD_EVENT, server=0)], 0, True),
+    ("required kinds present",
+     [GOOD_META, GOOD_ROUND, GOOD_EVENT, dict(GOOD_STRAGGLER, seq=2)],
+     1, True, ("checkpoint", "straggler")),
+    ("required kind absent",
+     [GOOD_META, GOOD_ROUND, GOOD_EVENT], 1, False, ("checkpoint", "crash")),
 ]
 
 
 def self_test():
     failures = 0
-    for description, lines, min_rounds, should_pass in SELF_TEST_CASES:
-        errors = validate(lines, min_rounds)
+    for description, lines, min_rounds, should_pass, *kinds in SELF_TEST_CASES:
+        errors = validate(lines, min_rounds, *kinds)
         passed = not errors
         if passed != should_pass:
             failures += 1
@@ -308,6 +322,9 @@ def main():
     parser.add_argument("path", nargs="?", help="trace file to validate")
     parser.add_argument("--min-rounds", type=int, default=0,
                         help="require at least this many round lines")
+    parser.add_argument("--require-kinds", default="",
+                        help="comma-separated event kinds that must each "
+                             "appear at least once")
     parser.add_argument("--self-test", action="store_true",
                         help="validate the checker against embedded cases")
     args = parser.parse_args()
@@ -315,7 +332,8 @@ def main():
         return self_test()
     if args.path is None:
         parser.error("a trace file path is required (or --self-test)")
-    errors = check_file(args.path, args.min_rounds)
+    kinds = [k for k in args.require_kinds.split(",") if k]
+    errors = check_file(args.path, args.min_rounds, kinds)
     for e in errors:
         print(e)
     if errors:
