@@ -14,7 +14,8 @@
 // or disjoint key ranges run under ParallelFor — local sorts and
 // pre-aggregation per part, the splitter-partitioned chunks of the final
 // merge, and the per-destination emission of the fix rounds (made
-// independent by the per-part boundary summaries of SummarizeKeyRuns).
+// independent by FixRound's read-only boundary pass over the merged
+// order).
 // Key/compare/combine functors may be invoked concurrently across parts
 // and must not mutate shared state. Outputs and charged loads are
 // bit-identical for every thread count (PARJOIN_THREADS=1 included).
@@ -26,7 +27,6 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -232,97 +232,90 @@ std::vector<T> MergeSortedRuns(std::vector<std::vector<T>> runs, Less less) {
   return out;
 }
 
-// Per-part boundary summary of a key-sorted Dist: the precomputation that
-// lets the SortGroupedByKey/ReduceByKey fix rounds emit every destination
-// part independently (and therefore threaded) instead of walking all
-// earlier parts. head_home[s] names the part where the key run containing
-// part s's *first* item begins — only the leading run of a part can
-// belong to an earlier part, because the data is globally sorted. A run
-// spanning parts t..u forces every part strictly between t and u to be
-// single-key, so head_home is a chain computable in O(p) from first/last
-// keys alone.
-template <typename Key>
-struct KeyRunSummary {
-  // All vectors are indexed by part. nonempty is char, not bool: the
-  // entries are written concurrently and std::vector<bool> packs bits.
-  std::vector<char> nonempty;
-  std::vector<Key> first_key;
-  std::vector<Key> last_key;
-  std::vector<std::int64_t> leading_len;  // items equal to first_key
-  std::vector<int> head_home;
-};
-
-template <typename T, typename KeyFn>
-auto SummarizeKeyRuns(const Dist<T>& sorted, KeyFn key_fn) {
-  using Key = std::decay_t<decltype(key_fn(std::declval<const T&>()))>;
-  const int parts = sorted.num_parts();
-  KeyRunSummary<Key> sum;
-  sum.nonempty.assign(static_cast<size_t>(parts), 0);
-  sum.first_key.resize(static_cast<size_t>(parts));
-  sum.last_key.resize(static_cast<size_t>(parts));
-  sum.leading_len.assign(static_cast<size_t>(parts), 0);
-  sum.head_home.resize(static_cast<size_t>(parts));
-  ParallelFor(parts, [&](int s) {
-    const auto& part = sorted.part(s);
-    if (part.empty()) return;
-    const size_t idx = static_cast<size_t>(s);
-    sum.nonempty[idx] = 1;
-    sum.first_key[idx] = key_fn(part.front());
-    sum.last_key[idx] = key_fn(part.back());
-    std::int64_t len = 1;
-    while (len < static_cast<std::int64_t>(part.size()) &&
-           key_fn(part[static_cast<size_t>(len)]) == sum.first_key[idx]) {
-      ++len;
-    }
-    sum.leading_len[idx] = len;
-  });
-  int prev = -1;  // previous non-empty part
-  for (int s = 0; s < parts; ++s) {
-    const size_t idx = static_cast<size_t>(s);
-    sum.head_home[idx] = s;
-    if (sum.nonempty[idx] == 0) continue;
-    if (prev >= 0 &&
-        sum.last_key[static_cast<size_t>(prev)] == sum.first_key[idx]) {
-      // The run continues from prev. If prev is single-key the run began
-      // even earlier and prev's head_home already names where.
-      const size_t pidx = static_cast<size_t>(prev);
-      sum.head_home[idx] = sum.first_key[pidx] == sum.last_key[pidx]
-                               ? sum.head_home[pidx]
-                               : prev;
-    }
-    prev = s;
-  }
-  return sum;
-}
-
-// The fix round's charge: every item of a leading run that continues an
-// earlier part's run ships one unit to the run's home part.
-template <typename Key>
-std::vector<std::int64_t> FixRoundReceived(const KeyRunSummary<Key>& runs) {
-  const size_t parts = runs.nonempty.size();
-  std::vector<std::int64_t> received(parts, 0);
-  for (size_t idx = 0; idx < parts; ++idx) {
-    if (runs.nonempty[idx] != 0 &&
-        runs.head_home[idx] != static_cast<int>(idx)) {
-      received[static_cast<size_t>(runs.head_home[idx])] +=
-          runs.leading_len[idx];
-    }
-  }
-  return received;
-}
-
-// Moves the key-sorted `items` onto the end of *out, combining adjacent
-// equal keys left to right.
-template <typename T, typename KeyFn, typename CombineFn>
-void FoldAdjacentEqual(std::vector<T>& items, KeyFn key_fn, CombineFn combine,
+// Moves the key-sorted range [first, last) onto the end of *out, combining
+// adjacent equal keys left to right.
+template <typename It, typename T, typename KeyFn, typename CombineFn>
+void FoldAdjacentEqual(It first, It last, KeyFn key_fn, CombineFn combine,
                        std::vector<T>* out) {
-  for (auto& item : items) {
-    if (!out->empty() && key_fn(out->back()) == key_fn(item)) {
-      combine(&out->back(), item);
+  for (; first != last; ++first) {
+    if (!out->empty() && key_fn(out->back()) == key_fn(*first)) {
+      combine(&out->back(), *first);
     } else {
-      out->push_back(std::move(item));
+      out->push_back(std::move(*first));
     }
   }
+}
+
+// Merges the sorted `runs` into the global order and books the sort round
+// (under its own "sort" trace scope): part i of num_parts receives the
+// i-th ceil(M/num_parts) chunk of the M merged items, the placement
+// ScatterEvenly gives.
+template <typename T, typename Less>
+std::vector<T> MergeAndChargeSort(Cluster& cluster,
+                                  std::vector<std::vector<T>> runs, Less less,
+                                  int num_parts) {
+  TraceScope trace(cluster, "sort");
+  std::vector<T> merged = MergeSortedRuns(std::move(runs), less);
+  const std::int64_t n = static_cast<std::int64_t>(merged.size());
+  const std::int64_t chunk = (n + num_parts - 1) / num_parts;
+  std::vector<std::int64_t> received(static_cast<size_t>(num_parts), 0);
+  for (int s = 0; s < num_parts; ++s) {
+    received[static_cast<size_t>(s)] =
+        std::clamp<std::int64_t>(n - s * chunk, 0, chunk);
+  }
+  cluster.ChargeRound(received);
+  return merged;
+}
+
+// The fix round over the merged order, cut into the sort round's
+// ceil(M/num_parts) chunks: every run of equal keys moves whole to the
+// chunk holding its first element. Destination t owns
+// merged[begin[t], begin[t + 1]): its chunk minus a leading run that began
+// in an earlier chunk, plus the rest of its last run. `emit(first, last,
+// &part)` moves or folds that slice into part t, under ParallelFor. The
+// round charges one unit per item of a skipped leading run, booked to the
+// run's home.
+template <typename T, typename Less, typename EmitFn>
+Dist<T> FixRound(Cluster& cluster, std::vector<T> merged, Less less,
+                 int num_parts, EmitFn emit) {
+  const std::int64_t n = static_cast<std::int64_t>(merged.size());
+  const std::int64_t chunk = (n + num_parts - 1) / num_parts;
+  std::vector<std::int64_t> begin(static_cast<size_t>(num_parts) + 1, n);
+  begin[0] = 0;
+  std::vector<std::int64_t> received(static_cast<size_t>(num_parts), 0);
+  // The boundary pass: read-only and finished before any item moves (a
+  // moved-from item may no longer compare by its key). A run that crosses
+  // boundary t began in chunk t - 1 unless it also crossed boundary t - 1,
+  // so its home carries forward and one upper_bound per crossing run finds
+  // its end: O(p log M) at worst, with no backward walk.
+  int home = 0;  // where the last run skipped at a boundary began
+  for (int t = 1; t < num_parts && t * chunk < n; ++t) {
+    const size_t tdx = static_cast<size_t>(t);
+    const std::int64_t start = t * chunk;
+    const auto head = merged.begin() + start;
+    if (begin[tdx - 1] > start) {
+      begin[tdx] = begin[tdx - 1];  // the run skipped at t - 1 covers t too
+    } else if (less(*(head - 1), *head)) {
+      begin[tdx] = start;  // a run begins on the boundary: nothing moves
+      continue;
+    } else {
+      home = t - 1;
+      begin[tdx] =
+          std::upper_bound(head, merged.end(), *head, less) - merged.begin();
+    }
+    // The skipped items of chunk t ship to the run's home.
+    received[static_cast<size_t>(home)] +=
+        std::min(begin[tdx], start + chunk) - start;
+  }
+
+  Dist<T> out(num_parts);
+  ParallelFor(num_parts, [&](int t) {
+    const size_t tdx = static_cast<size_t>(t);
+    emit(merged.begin() + begin[tdx], merged.begin() + begin[tdx + 1],
+         &out.part(t));
+  });
+  cluster.ChargeRound(received);
+  return out;
 }
 
 }  // namespace internal_primitives
@@ -342,22 +335,14 @@ void FoldAdjacentEqual(std::vector<T>& items, KeyFn key_fn, CombineFn combine,
 // Consumes its input: pass std::move(dist) to avoid copying the parts.
 template <typename T, typename Less>
 Dist<T> Sort(Cluster& cluster, Dist<T> in, Less less, int num_parts = 0) {
-  TraceScope trace(cluster, "sort");
   if (num_parts == 0) num_parts = cluster.p();
   ParallelFor(in.num_parts(), [&](int s) {
     auto& part = in.part(s);
     std::stable_sort(part.begin(), part.end(), less);
   });
-  std::vector<T> all =
-      internal_primitives::MergeSortedRuns(std::move(in.parts()), less);
-  Dist<T> out = ScatterEvenly(std::move(all), num_parts);
-  std::vector<std::int64_t> received(static_cast<size_t>(num_parts), 0);
-  for (int s = 0; s < num_parts; ++s) {
-    received[static_cast<size_t>(s)] =
-        static_cast<std::int64_t>(out.part(s).size());
-  }
-  cluster.ChargeRound(received);
-  return out;
+  return ScatterEvenly(internal_primitives::MergeAndChargeSort(
+                           cluster, std::move(in.parts()), less, num_parts),
+                       num_parts);
 }
 
 // Sorts by a key projection and then moves every run of equal keys entirely
@@ -368,63 +353,30 @@ Dist<T> Sort(Cluster& cluster, Dist<T> in, Less less, int num_parts = 0) {
 // Only sensible when every key group fits on a server (callers guarantee
 // this, e.g. LinearSparseMM where degrees are < N/p).
 // Consumes its input: pass std::move(dist) to avoid copying the parts.
+//
+// Execution: the fix round is cut straight from the merged order
+// (internal_primitives::FixRound), and each destination moves its own
+// slice under ParallelFor.
 template <typename T, typename KeyFn>
 Dist<T> SortGroupedByKey(Cluster& cluster, Dist<T> in, KeyFn key_fn,
                          int num_parts = 0) {
   TraceScope trace(cluster, "sort_grouped");
   if (num_parts == 0) num_parts = cluster.p();
-  Dist<T> sorted = Sort(
-      cluster, std::move(in),
-      [&](const T& a, const T& b) { return key_fn(a) < key_fn(b); },
-      num_parts);
-
-  // Fix round: a key run that starts in part s is moved entirely to part
-  // s. The boundary summary pins down every move — only a part's leading
-  // run can belong to an earlier part — so destination t's output is its
-  // own items minus a forwarded leading run, plus the leading runs of the
-  // later parts whose head_home is t. Destinations touch disjoint slices
-  // of `sorted`, so emission runs under ParallelFor; the ledger charge is
-  // identical to the old per-item walk (each moved tuple charges one unit
-  // to the run's home).
-  const auto runs = internal_primitives::SummarizeKeyRuns(sorted, key_fn);
-  std::vector<std::int64_t> received =
-      internal_primitives::FixRoundReceived(runs);
-  Dist<T> out(num_parts);
-  ParallelFor(num_parts, [&](int t) {
-    const size_t tdx = static_cast<size_t>(t);
-    if (runs.nonempty[tdx] == 0) return;
-    // Later parts whose leading run starts here: a chain of single-key
-    // parts homed at t, closed by the part where the run ends. At most
-    // one destination's chain is alive at any source part, so the scans
-    // total O(p) across all destinations.
-    std::vector<int> feeders;
-    std::int64_t incoming = 0;
-    for (int s = t + 1; s < num_parts; ++s) {
-      const size_t sdx = static_cast<size_t>(s);
-      if (runs.nonempty[sdx] == 0) continue;
-      if (runs.head_home[sdx] != t) break;
-      feeders.push_back(s);
-      incoming += runs.leading_len[sdx];
-      if (!(runs.first_key[sdx] == runs.last_key[sdx])) break;
-    }
-    auto& src = sorted.part(t);
-    const std::int64_t keep_from =
-        runs.head_home[tdx] != t ? runs.leading_len[tdx] : 0;
-    auto& dst = out.part(t);
-    dst.reserve(static_cast<size_t>(
-        static_cast<std::int64_t>(src.size()) - keep_from + incoming));
-    dst.insert(dst.end(), std::make_move_iterator(src.begin() + keep_from),
-               std::make_move_iterator(src.end()));
-    for (int s : feeders) {
-      auto& fsrc = sorted.part(s);
-      dst.insert(dst.end(), std::make_move_iterator(fsrc.begin()),
-                 std::make_move_iterator(
-                     fsrc.begin() +
-                     runs.leading_len[static_cast<size_t>(s)]));
-    }
+  const auto less = [&](const T& a, const T& b) {
+    return key_fn(a) < key_fn(b);
+  };
+  ParallelFor(in.num_parts(), [&](int s) {
+    auto& part = in.part(s);
+    std::stable_sort(part.begin(), part.end(), less);
   });
-  cluster.ChargeRound(received);
-  return out;
+  return internal_primitives::FixRound(
+      cluster,
+      internal_primitives::MergeAndChargeSort(cluster, std::move(in.parts()),
+                                              less, num_parts),
+      less, num_parts, [](auto first, auto last, std::vector<T>* part) {
+        part->assign(std::make_move_iterator(first),
+                     std::make_move_iterator(last));
+      });
 }
 
 // --- Reduce-by-key [Hu, Tao, Yi '17] ---------------------------------------
@@ -436,8 +388,13 @@ Dist<T> SortGroupedByKey(Cluster& cluster, Dist<T> in, KeyFn key_fn,
 //
 // KeyFn:      T -> K (K ordered and equality-comparable)
 // CombineFn:  (T* accumulator, const T& item) merges item into accumulator.
-//             Must be associative: the fix round folds each part locally
-//             before merging run continuations into the run's home part.
+//             Must be associative: each input part is pre-aggregated
+//             before the fix round folds the partial sums left to right.
+//
+// Execution: the pre-aggregated parts are already key-sorted, so they go
+// straight to the merge; the fix round is cut from the merged order
+// (internal_primitives::FixRound), and each destination folds its own
+// slice left to right under ParallelFor.
 //
 // This overload consumes its input (the parts are sorted in place during
 // pre-aggregation); pass std::move(dist) to select it. A copying overload
@@ -447,72 +404,30 @@ Dist<T> ReduceByKey(Cluster& cluster, Dist<T>&& in, KeyFn key_fn,
                     CombineFn combine, int num_parts = 0) {
   TraceScope trace(cluster, "reduce_by_key");
   if (num_parts == 0) num_parts = cluster.p();
+  const auto less = [&](const T& a, const T& b) {
+    return key_fn(a) < key_fn(b);
+  };
 
   // Local pre-aggregation: sort each part by key in place, combine
   // adjacent equals. Parts are independent, so the pass is threaded.
   Dist<T> pre(in.num_parts());
   ParallelFor(in.num_parts(), [&](int s) {
     auto& local = in.part(s);
-    std::stable_sort(local.begin(), local.end(),
-                     [&](const T& a, const T& b) {
-                       return key_fn(a) < key_fn(b);
-                     });
-    internal_primitives::FoldAdjacentEqual(local, key_fn, combine,
-                                           &pre.part(s));
+    std::stable_sort(local.begin(), local.end(), less);
+    internal_primitives::FoldAdjacentEqual(local.begin(), local.end(), key_fn,
+                                           combine, &pre.part(s));
     local.clear();
     local.shrink_to_fit();
   });
 
-  // Global sort of pre-aggregated items.
-  Dist<T> sorted = Sort(
-      cluster, std::move(pre),
-      [&](const T& a, const T& b) { return key_fn(a) < key_fn(b); },
-      num_parts);
-
-  // Fix round. Fold each part locally (adjacent equals combine left to
-  // right; threaded, parts are independent), then use the boundary
-  // summary to emit every destination independently: destination t keeps
-  // its folded items — minus a leading entry whose run started earlier —
-  // and absorbs the folded leading entries of the later parts homed at t,
-  // in part order. The charge is identical to the old per-item walk:
-  // every raw item of a leading run that continues an earlier part's run
-  // ships one unit to the run's home.
-  const auto runs = internal_primitives::SummarizeKeyRuns(sorted, key_fn);
-  Dist<T> folded(num_parts);
-  ParallelFor(num_parts, [&](int s) {
-    internal_primitives::FoldAdjacentEqual(sorted.part(s), key_fn, combine,
-                                           &folded.part(s));
-  });
-  std::vector<std::int64_t> received =
-      internal_primitives::FixRoundReceived(runs);
-  Dist<T> out(num_parts);
-  ParallelFor(num_parts, [&](int t) {
-    const size_t tdx = static_cast<size_t>(t);
-    if (runs.nonempty[tdx] == 0) return;
-    auto& src = folded.part(t);
-    const size_t keep_from = runs.head_home[tdx] != t ? 1 : 0;
-    if (keep_from >= src.size()) return;  // part fully forwarded
-    auto& dst = out.part(t);
-    dst.reserve(src.size() - keep_from);
-    dst.insert(dst.end(),
-               std::make_move_iterator(src.begin() +
-                                       static_cast<std::ptrdiff_t>(
-                                           keep_from)),
-               std::make_move_iterator(src.end()));
-    // Absorb run continuations: the folded leading entry of every later
-    // part homed here (their forwarded entry 0, untouched by their own
-    // emission — the slices are disjoint). Same chain walk as
-    // SortGroupedByKey: O(p) total across destinations.
-    for (int s = t + 1; s < num_parts; ++s) {
-      const size_t sdx = static_cast<size_t>(s);
-      if (runs.nonempty[sdx] == 0) continue;
-      if (runs.head_home[sdx] != t) break;
-      combine(&dst.back(), folded.part(s).front());
-      if (!(runs.first_key[sdx] == runs.last_key[sdx])) break;
-    }
-  });
-  cluster.ChargeRound(received);
-  return out;
+  return internal_primitives::FixRound(
+      cluster,
+      internal_primitives::MergeAndChargeSort(cluster, std::move(pre.parts()),
+                                              less, num_parts),
+      less, num_parts, [&](auto first, auto last, std::vector<T>* part) {
+        internal_primitives::FoldAdjacentEqual(first, last, key_fn, combine,
+                                               part);
+      });
 }
 
 // Copying overload: keeps the caller's Dist intact at the price of one

@@ -15,9 +15,13 @@
 
 #include "parjoin/common/parallel_for.h"
 #include "parjoin/common/random.h"
+#include "parjoin/common/row.h"
 #include "parjoin/mpc/cluster.h"
 #include "parjoin/mpc/dist.h"
 #include "parjoin/mpc/exchange.h"
+#include "parjoin/relation/ops.h"
+#include "parjoin/relation/relation.h"
+#include "parjoin/semiring/semirings.h"
 
 namespace parjoin {
 namespace mpc {
@@ -475,68 +479,104 @@ TEST(ReduceByKeyTest, ConsumingOverloadMatchesCopyingOverload) {
 // against this oracle, for charge parity (primitive stats = sort-only
 // stats + exactly the oracle's fix round), and for bit-identical outputs
 // and charges at thread counts 1 vs 4.
+//
+// The harness runs on two item types: KV pairs keyed by their first
+// field, and relation tuples keyed by their Row (reduced through
+// ReduceByRow). Moving a KV leaves its key readable; moving a Row empties
+// it, so only the Row shapes catch a fix round that reads a key after
+// moving its item.
 
 using KV = std::pair<std::int64_t, std::int64_t>;
 
-std::int64_t KeyOfKV(const KV& kv) { return kv.first; }
-bool KVByKey(const KV& a, const KV& b) { return a.first < b.first; }
-void AddKV(KV* acc, const KV& kv) { acc->second += kv.second; }
+struct KVItems {
+  using Item = KV;
+  static std::int64_t Key(const KV& kv) { return kv.first; }
+  static void Add(KV* acc, const KV& kv) { acc->second += kv.second; }
+  static Dist<KV> Reduce(Cluster& c, Dist<KV> in, int num_parts) {
+    return ReduceByKey(c, std::move(in), Key, Add, num_parts);
+  }
+};
 
+using RowTuple = Tuple<CountingSemiring>;
+
+struct RowItems {
+  using Item = RowTuple;
+  static const Row& Key(const RowTuple& t) { return t.row; }
+  static void Add(RowTuple* acc, const RowTuple& t) { acc->w += t.w; }
+  static Dist<RowTuple> Reduce(Cluster& c, Dist<RowTuple> in,
+                               int num_parts) {
+    EXPECT_EQ(num_parts, 0) << "ReduceByRow reduces into cluster.p() parts";
+    return ReduceByRow(c, std::move(in));
+  }
+};
+
+template <typename Items>
+bool ByKey(const typename Items::Item& a, const typename Items::Item& b) {
+  return Items::Key(a) < Items::Key(b);
+}
+
+template <typename Items>
+using Parts = std::vector<std::vector<typename Items::Item>>;
+
+template <typename Items>
 struct ShapeTrace {
-  std::vector<std::vector<KV>> grouped;
-  std::vector<std::vector<KV>> reduced;
+  Parts<Items> grouped;
+  Parts<Items> reduced;
   Cluster::Stats grouped_stats;
   Cluster::Stats reduced_stats;
 };
 
-ShapeTrace RunShape(const std::vector<std::vector<KV>>& input, int p,
-                    int num_parts, int threads) {
+template <typename Items>
+ShapeTrace<Items> RunShape(const Parts<Items>& input, int p, int num_parts,
+                           int threads) {
+  using Item = typename Items::Item;
   SetParallelForThreads(threads);
-  ShapeTrace trace;
+  ShapeTrace<Items> trace;
   {
     Cluster c(p);
     trace.grouped =
-        SortGroupedByKey(c, Dist<KV>(input), KeyOfKV, num_parts).parts();
+        SortGroupedByKey(c, Dist<Item>(input), Items::Key, num_parts).parts();
     trace.grouped_stats = c.stats();
   }
   {
     Cluster c(p);
-    trace.reduced =
-        ReduceByKey(c, Dist<KV>(input), KeyOfKV, AddKV, num_parts).parts();
+    trace.reduced = Items::Reduce(c, Dist<Item>(input), num_parts).parts();
     trace.reduced_stats = c.stats();
   }
   return trace;
 }
 
+template <typename Items>
 struct FixOracle {
-  std::vector<std::vector<KV>> grouped;
-  std::vector<std::vector<KV>> reduced;
+  Parts<Items> grouped;
+  Parts<Items> reduced;
   std::vector<std::int64_t> grouped_received;
   std::vector<std::int64_t> reduced_received;
-  std::vector<std::vector<KV>> pre_parts;  // pre-aggregated input per part
+  Parts<Items> pre_parts;  // pre-aggregated input per part
 };
 
-FixOracle ComputeFixOracle(const std::vector<std::vector<KV>>& input,
-                           int num_parts) {
-  FixOracle o;
+template <typename Items>
+FixOracle<Items> ComputeFixOracle(const Parts<Items>& input, int num_parts) {
+  using Item = typename Items::Item;
+  FixOracle<Items> o;
   o.grouped.resize(static_cast<size_t>(num_parts));
   o.reduced.resize(static_cast<size_t>(num_parts));
   o.grouped_received.assign(static_cast<size_t>(num_parts), 0);
   o.reduced_received.assign(static_cast<size_t>(num_parts), 0);
 
-  std::vector<KV> all;
+  std::vector<Item> all;
   for (const auto& part : input) {
     all.insert(all.end(), part.begin(), part.end());
   }
-  std::stable_sort(all.begin(), all.end(), KVByKey);
+  std::stable_sort(all.begin(), all.end(), ByKey<Items>);
   {
     const std::int64_t n = static_cast<std::int64_t>(all.size());
     const std::int64_t chunk = (n + num_parts - 1) / num_parts;
     std::int64_t i = 0;
     while (i < n) {
       std::int64_t j = i;
-      while (j < n && all[static_cast<size_t>(j)].first ==
-                          all[static_cast<size_t>(i)].first) {
+      while (j < n && Items::Key(all[static_cast<size_t>(j)]) ==
+                          Items::Key(all[static_cast<size_t>(i)])) {
         ++j;
       }
       const std::int64_t home = i / chunk;
@@ -550,30 +590,31 @@ FixOracle ComputeFixOracle(const std::vector<std::vector<KV>>& input,
   }
 
   o.pre_parts.resize(input.size());
-  std::vector<KV> pre_all;
+  std::vector<Item> pre_all;
   for (size_t s = 0; s < input.size(); ++s) {
-    std::vector<KV> local = input[s];
-    std::stable_sort(local.begin(), local.end(), KVByKey);
+    std::vector<Item> local = input[s];
+    std::stable_sort(local.begin(), local.end(), ByKey<Items>);
     auto& dst = o.pre_parts[s];
-    for (const auto& kv : local) {
-      if (!dst.empty() && dst.back().first == kv.first) {
-        dst.back().second += kv.second;
+    for (const auto& item : local) {
+      if (!dst.empty() && Items::Key(dst.back()) == Items::Key(item)) {
+        Items::Add(&dst.back(), item);
       } else {
-        dst.push_back(kv);
+        dst.push_back(item);
       }
     }
     pre_all.insert(pre_all.end(), dst.begin(), dst.end());
   }
-  std::stable_sort(pre_all.begin(), pre_all.end(), KVByKey);
+  std::stable_sort(pre_all.begin(), pre_all.end(), ByKey<Items>);
   {
     const std::int64_t n = static_cast<std::int64_t>(pre_all.size());
     const std::int64_t chunk = (n + num_parts - 1) / num_parts;
     std::int64_t i = 0;
     while (i < n) {
       std::int64_t j = i;
-      KV folded = pre_all[static_cast<size_t>(i)];
-      while (++j < n && pre_all[static_cast<size_t>(j)].first == folded.first) {
-        folded.second += pre_all[static_cast<size_t>(j)].second;
+      Item folded = pre_all[static_cast<size_t>(i)];
+      while (++j < n && Items::Key(pre_all[static_cast<size_t>(j)]) ==
+                            Items::Key(folded)) {
+        Items::Add(&folded, pre_all[static_cast<size_t>(j)]);
       }
       const std::int64_t home = i / chunk;
       o.reduced[static_cast<size_t>(home)].push_back(folded);
@@ -586,10 +627,11 @@ FixOracle ComputeFixOracle(const std::vector<std::vector<KV>>& input,
   return o;
 }
 
-Cluster::Stats SortOnlyStats(const std::vector<std::vector<KV>>& parts, int p,
+template <typename Items>
+Cluster::Stats SortOnlyStats(const Parts<Items>& parts, int p,
                              int num_parts) {
   Cluster c(p);
-  Sort(c, Dist<KV>(parts), KVByKey, num_parts);
+  Sort(c, Dist<typename Items::Item>(parts), ByKey<Items>, num_parts);
   return c.stats();
 }
 
@@ -621,24 +663,26 @@ void ExpectStatsEq(const Cluster::Stats& a, const Cluster::Stats& b) {
   EXPECT_EQ(a.critical_path, b.critical_path);
 }
 
-void ExpectShapeMatchesOracleAndThreads(
-    const std::vector<std::vector<KV>>& input, int p, int num_parts) {
+template <typename Items>
+void ExpectShapeMatchesOracleAndThreads(const Parts<Items>& input, int p,
+                                        int num_parts) {
   ThreadOverrideGuard guard;
   const int resolved = num_parts == 0 ? p : num_parts;
-  const ShapeTrace seq = RunShape(input, p, num_parts, 1);
-  const ShapeTrace par = RunShape(input, p, num_parts, 4);
+  const ShapeTrace<Items> seq = RunShape<Items>(input, p, num_parts, 1);
+  const ShapeTrace<Items> par = RunShape<Items>(input, p, num_parts, 4);
   SetParallelForThreads(0);
   EXPECT_EQ(par.grouped, seq.grouped) << "grouped output varies with threads";
   EXPECT_EQ(par.reduced, seq.reduced) << "reduced output varies with threads";
   ExpectStatsEq(par.grouped_stats, seq.grouped_stats);
   ExpectStatsEq(par.reduced_stats, seq.reduced_stats);
-  const FixOracle oracle = ComputeFixOracle(input, resolved);
+  const FixOracle<Items> oracle = ComputeFixOracle<Items>(input, resolved);
   EXPECT_EQ(seq.grouped, oracle.grouped);
   EXPECT_EQ(seq.reduced, oracle.reduced);
-  ExpectSortPlusFixRound(seq.grouped_stats, SortOnlyStats(input, p, num_parts),
+  ExpectSortPlusFixRound(seq.grouped_stats,
+                         SortOnlyStats<Items>(input, p, num_parts),
                          oracle.grouped_received, p);
   ExpectSortPlusFixRound(seq.reduced_stats,
-                         SortOnlyStats(oracle.pre_parts, p, num_parts),
+                         SortOnlyStats<Items>(oracle.pre_parts, p, num_parts),
                          oracle.reduced_received, p);
 }
 
@@ -648,7 +692,7 @@ TEST(FixRoundShapesTest, KeyRunsSpanningManyParts) {
   std::vector<KV> items;
   for (int i = 0; i < 240; ++i) items.emplace_back(rng.Uniform(0, 2), i);
   auto in = ScatterEvenly(std::move(items), 8);
-  ExpectShapeMatchesOracleAndThreads(in.parts(), 8, 0);
+  ExpectShapeMatchesOracleAndThreads<KVItems>(in.parts(), 8, 0);
 }
 
 TEST(FixRoundShapesTest, MostlyEmptyLeadingInputParts) {
@@ -658,14 +702,14 @@ TEST(FixRoundShapesTest, MostlyEmptyLeadingInputParts) {
   std::vector<std::vector<KV>> input(8);
   for (int i = 0; i < 150; ++i) input[6].emplace_back(1, i);
   for (int i = 0; i < 30; ++i) input[7].emplace_back(2 + i % 5, 1000 + i);
-  ExpectShapeMatchesOracleAndThreads(input, 8, 0);
+  ExpectShapeMatchesOracleAndThreads<KVItems>(input, 8, 0);
 }
 
 TEST(FixRoundShapesTest, AllOneKeyCollapsesToOnePart) {
   std::vector<KV> items;
   for (int i = 0; i < 64; ++i) items.emplace_back(7, i);
   auto in = ScatterEvenly(std::move(items), 8);
-  ExpectShapeMatchesOracleAndThreads(in.parts(), 8, 0);
+  ExpectShapeMatchesOracleAndThreads<KVItems>(in.parts(), 8, 0);
 }
 
 TEST(FixRoundShapesTest, NumPartsAboveClusterP) {
@@ -674,7 +718,7 @@ TEST(FixRoundShapesTest, NumPartsAboveClusterP) {
   std::vector<KV> items;
   for (int i = 0; i < 400; ++i) items.emplace_back(rng.Uniform(0, 9), i);
   auto in = ScatterEvenly(std::move(items), 4);
-  ExpectShapeMatchesOracleAndThreads(in.parts(), 4, 16);
+  ExpectShapeMatchesOracleAndThreads<KVItems>(in.parts(), 4, 16);
 }
 
 TEST(FixRoundShapesTest, NumPartsBelowClusterP) {
@@ -682,7 +726,67 @@ TEST(FixRoundShapesTest, NumPartsBelowClusterP) {
   std::vector<KV> items;
   for (int i = 0; i < 300; ++i) items.emplace_back(rng.Uniform(0, 5), i);
   auto in = ScatterEvenly(std::move(items), 8);
-  ExpectShapeMatchesOracleAndThreads(in.parts(), 8, 3);
+  ExpectShapeMatchesOracleAndThreads<KVItems>(in.parts(), 8, 3);
+}
+
+// --- Row-keyed fix-round shapes ---------------------------------------------
+//
+// Key k is a row led by k; odd keys are wider than Row::kInlineCapacity, so
+// their moves hand over heap storage, while even keys move inline. Key k
+// has copies[k] copies, copy c on input part (k + c) mod num_input_parts
+// with weight 10k + c + 1, so no key repeats within an input part and the
+// pre-aggregated order has the same run shape as the raw one.
+
+Row ShapeRow(int k) {
+  const int width = k % 2 == 1 ? Row::kInlineCapacity + 2 : 2;
+  Row row;
+  row.PushBack(k);
+  for (int i = 1; i < width; ++i) row.PushBack(i);
+  return row;
+}
+
+Parts<RowItems> RowShape(const std::vector<int>& copies,
+                         int num_input_parts) {
+  Parts<RowItems> input(static_cast<size_t>(num_input_parts));
+  for (int k = 0; k < static_cast<int>(copies.size()); ++k) {
+    for (int c = 0; c < copies[static_cast<size_t>(k)]; ++c) {
+      input[static_cast<size_t>((k + c) % num_input_parts)].push_back(
+          RowTuple{ShapeRow(k), 10 * k + c + 1});
+    }
+  }
+  return input;
+}
+
+TEST(FixRoundShapesTest, RowRunsBeginningOnTheLastItemOfAChunk) {
+  // 16 items on p = 4 (chunk 4): keys 3, 5 and 8 begin at positions 3, 7
+  // and 11, the last item of chunks 0, 1 and 2, and run into the next.
+  ExpectShapeMatchesOracleAndThreads<RowItems>(
+      RowShape({1, 1, 1, 3, 1, 2, 1, 1, 2, 1, 1, 1}, 4), 4, 0);
+}
+
+TEST(FixRoundShapesTest, RowRunsSpanningThreeOrMoreChunks) {
+  // 24 items on p = 4 (chunk 6): key 5 covers positions 5..12, so it
+  // spans chunks 0, 1 and 2.
+  ExpectShapeMatchesOracleAndThreads<RowItems>(
+      RowShape({1, 1, 1, 1, 1, 8, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 8), 4, 0);
+  // 8 items (chunk 2): key 1 covers positions 1..7, all four chunks.
+  ExpectShapeMatchesOracleAndThreads<RowItems>(RowShape({1, 7}, 8), 4, 0);
+}
+
+TEST(FixRoundShapesTest, RowShapesWithEmptyInputParts) {
+  // Runs of up to three copies, with empty input parts before, between
+  // and after the populated ones.
+  Parts<RowItems> populated = RowShape({2, 3, 1, 3, 2, 1, 3}, 3);
+  Parts<RowItems> input(7);
+  input[1] = populated[0];
+  input[4] = populated[1];
+  input[5] = populated[2];
+  ExpectShapeMatchesOracleAndThreads<RowItems>(input, 4, 0);
+  // Every input part empty.
+  ExpectShapeMatchesOracleAndThreads<RowItems>(Parts<RowItems>(5), 4, 0);
+  // Fewer items than servers (chunk 1): key 1 spans chunks 1 and 2, and
+  // chunk 3 is empty.
+  ExpectShapeMatchesOracleAndThreads<RowItems>(RowShape({1, 2}, 2), 4, 0);
 }
 
 }  // namespace

@@ -2,11 +2,18 @@
 // and the remaining relational-op helpers (CollectStatsAtLeast,
 // JoinedSchema, LocalJoinInto corner cases).
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <numeric>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "parjoin/algorithms/reference.h"
+#include "parjoin/common/random.h"
 #include "parjoin/relation/ops.h"
 #include "parjoin/relation/relation.h"
 #include "parjoin/relation/schema.h"
@@ -54,6 +61,53 @@ TEST(JoinedSchemaTest, ConcatenatesWithoutDuplicates) {
   EXPECT_EQ(JoinedSchema(Schema{1}, Schema{1}), (Schema{1}));
 }
 
+// The reference Normalize: a std::map<Row, W> that ⊕-folds duplicate
+// rows in input order, then drops Zero() sums.
+template <SemiringC Sr>
+std::vector<Tuple<Sr>> NormalizedByMap(const std::vector<Tuple<Sr>>& tuples) {
+  std::map<Row, typename Sr::ValueType> agg;
+  for (const auto& t : tuples) {
+    auto [it, inserted] = agg.emplace(t.row, t.w);
+    if (!inserted) it->second = Sr::Plus(it->second, t.w);
+  }
+  std::vector<Tuple<Sr>> out;
+  for (const auto& [row, w] : agg) {
+    if (!(w == Sr::Zero())) out.push_back(Tuple<Sr>{row, w});
+  }
+  return out;
+}
+
+template <SemiringC Sr>
+void ExpectNormalizeMatchesMap(const Schema& schema,
+                               std::vector<Tuple<Sr>> tuples) {
+  const std::vector<Tuple<Sr>> expected = NormalizedByMap<Sr>(tuples);
+  Relation<Sr> rel(schema, std::move(tuples));
+  rel.Normalize();
+  EXPECT_EQ(rel.tuples(), expected);
+}
+
+Schema SchemaOfArity(int arity) {
+  std::vector<AttrId> attrs(static_cast<size_t>(arity));
+  std::iota(attrs.begin(), attrs.end(), 0);
+  return Schema(std::move(attrs));
+}
+
+// `n` tuples over `distinct` rows of `width` values, rows drawn at random
+// (so duplicates land in shuffled order), weights drawn by `weight`.
+template <SemiringC Sr, typename WeightFn>
+std::vector<Tuple<Sr>> RandomTuples(Rng& rng, int n, int distinct, int width,
+                                    WeightFn weight) {
+  std::vector<Tuple<Sr>> tuples;
+  for (int i = 0; i < n; ++i) {
+    const std::int64_t r = rng.Uniform(0, distinct - 1);
+    Row row;
+    for (int j = 1; j < width; ++j) row.PushBack((r * (j + 3)) % 11);
+    row.PushBack(r);  // keeps the `distinct` rows distinct
+    tuples.push_back(Tuple<Sr>{std::move(row), weight(rng)});
+  }
+  return tuples;
+}
+
 TEST(RelationTest, NormalizeMergesDuplicatesAndDropsZeros) {
   Relation<S> rel(Schema{0, 1});
   rel.Add(Row{1, 2}, 3);
@@ -65,6 +119,25 @@ TEST(RelationTest, NormalizeMergesDuplicatesAndDropsZeros) {
   EXPECT_EQ(rel.tuples()[0].row, (Row{1, 2}));
   EXPECT_EQ(rel.tuples()[0].w, 7);
   EXPECT_EQ(rel.tuples()[1].row, (Row{7, 8}));
+
+  // Against the map oracle. Shuffled duplicates, narrow and wider than
+  // Row::kInlineCapacity, with weights in [-3, 3] so some sums cancel.
+  Rng rng(41);
+  const auto small = [](Rng& r) { return r.Uniform(-3, 3); };
+  for (int width : {1, Row::kInlineCapacity + 3}) {
+    ExpectNormalizeMatchesMap<S>(SchemaOfArity(width),
+                                 RandomTuples<S>(rng, 300, 40, width, small));
+  }
+  // +k and -k sum to Zero(): rows {1} and {3} vanish, {2} keeps 4.
+  ExpectNormalizeMatchesMap<S>(
+      Schema{0}, {{Row{3}, 2}, {Row{1}, 5}, {Row{2}, 4}, {Row{1}, -5},
+                  {Row{3}, -1}, {Row{3}, -1}});
+  // Zero-arity rows are all one row; +2 -2 cancels, then +1 survives.
+  ExpectNormalizeMatchesMap<S>(Schema{}, {{Row{}, 2}, {Row{}, -2}});
+  ExpectNormalizeMatchesMap<S>(Schema{},
+                               {{Row{}, 2}, {Row{}, -2}, {Row{}, 1}});
+  // Empty relation.
+  ExpectNormalizeMatchesMap<S>(Schema{0, 1}, {});
 }
 
 TEST(RelationTest, NormalizeSortsRows) {
@@ -76,6 +149,16 @@ TEST(RelationTest, NormalizeSortsRows) {
   EXPECT_TRUE(std::is_sorted(
       rel.tuples().begin(), rel.tuples().end(),
       [](const auto& a, const auto& b) { return a.row < b.row; }));
+
+  // Already-sorted input, with adjacent duplicates and wide rows.
+  Rng rng(43);
+  const auto positive = [](Rng& r) { return r.Uniform(1, 9); };
+  const int width = Row::kInlineCapacity + 1;
+  std::vector<Tuple<S>> sorted =
+      RandomTuples<S>(rng, 200, 30, width, positive);
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const auto& a, const auto& b) { return a.row < b.row; });
+  ExpectNormalizeMatchesMap<S>(SchemaOfArity(width), sorted);
 }
 
 TEST(RelationTest, MinPlusNormalizeDropsInfinities) {
@@ -85,6 +168,26 @@ TEST(RelationTest, MinPlusNormalizeDropsInfinities) {
   rel.Normalize();
   ASSERT_EQ(rel.size(), 1);
   EXPECT_EQ(rel.tuples()[0].row, (Row{2}));
+
+  // Against the map oracle: min over shuffled duplicates, about a third of
+  // them +inf, so rows whose every copy is +inf vanish.
+  using M = MinPlusSemiring;
+  Rng rng(47);
+  const auto cost = [](Rng& r) {
+    return r.Uniform(0, 2) == 0 ? M::Zero() : r.Uniform(0, 50);
+  };
+  for (int width : {2, Row::kInlineCapacity + 1}) {
+    ExpectNormalizeMatchesMap<M>(SchemaOfArity(width),
+                                 RandomTuples<M>(rng, 200, 80, width, cost));
+  }
+  // min(inf, inf) is still Zero(): {1} vanishes, {2} keeps 3.
+  ExpectNormalizeMatchesMap<M>(
+      Schema{0}, {{Row{2}, M::Zero()}, {Row{1}, M::Zero()}, {Row{2}, 3},
+                  {Row{1}, M::Zero()}});
+  // Zero-arity and empty relations.
+  ExpectNormalizeMatchesMap<M>(Schema{}, {{Row{}, 7}, {Row{}, 4}});
+  ExpectNormalizeMatchesMap<M>(Schema{}, {{Row{}, M::Zero()}});
+  ExpectNormalizeMatchesMap<M>(Schema{0}, {});
 }
 
 TEST(RelationDeathTest, AddChecksArity) {
