@@ -390,8 +390,7 @@ class Cluster {
         stats_.retransmits += 1;
         Emit("retransmit", round,
              "corruption detected at round " + std::to_string(round) +
-                 ": dest " + std::to_string(victim) +
-                 " checksum mismatch (mask " +
+                 ": dest " + std::to_string(victim) + " corrupted (mask " +
                  std::to_string(e.corruption_mask) + "), retransmitted");
         return resent;
       }

@@ -274,7 +274,7 @@ mpc::FaultConfig CorruptionOnly() {
 
 std::string RetransmitLine(int round, int dest, std::uint64_t mask) {
   return "corruption detected at round " + std::to_string(round) +
-         ": dest " + std::to_string(dest) + " checksum mismatch (mask " +
+         ": dest " + std::to_string(dest) + " corrupted (mask " +
          std::to_string(mask) + "), retransmitted";
 }
 
