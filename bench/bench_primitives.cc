@@ -368,10 +368,10 @@ void RunFixRoundSweep(std::vector<bench::BenchJsonEntry>* json_entries) {
       for (int rep = 0; rep < reps; ++rep) {
         mpc::Cluster c(p);
         auto merged = mpc::internal_primitives::MergeAndChargeSort(
-            c, input.parts(), less, p);
+            c, input.parts(), less);
         Stopwatch watch;
         const auto out = mpc::internal_primitives::FixRound(
-            c, std::move(merged), less, p, fold);
+            c, std::move(merged), less, fold);
         batch_ms += watch.ElapsedMillis();
         CHECK(out.parts() == expected.parts());
         CHECK(LedgerColumns(c.stats()) == LedgerColumns(result.stats));

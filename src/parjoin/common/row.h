@@ -30,8 +30,6 @@ class Row {
 
   Row() : size_(0), capacity_(kInlineCapacity) {}
 
-  explicit Row(int size) : Row() { Resize(size); }
-
   Row(std::initializer_list<Value> values) : Row() {
     Reserve(static_cast<int>(values.size()));
     for (Value v : values) PushBack(v);
@@ -85,13 +83,6 @@ class Row {
   void PushBack(Value v) {
     if (size_ == capacity_) Grow(size_ + 1);
     data()[size_++] = v;
-  }
-
-  void Resize(int new_size) {
-    CHECK_GE(new_size, 0);
-    if (new_size > capacity_) Grow(new_size);
-    for (int i = size_; i < new_size; ++i) data()[i] = 0;
-    size_ = new_size;
   }
 
   void Reserve(int capacity) {

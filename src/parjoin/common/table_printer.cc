@@ -37,8 +37,6 @@ void TablePrinter::AddRow(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TablePrinter::AddSeparator() { rows_.emplace_back(); }
-
 void TablePrinter::Print(std::ostream& os) const {
   std::vector<size_t> widths(headers_.size());
   for (size_t i = 0; i < headers_.size(); ++i) widths[i] = headers_[i].size();
@@ -69,13 +67,7 @@ void TablePrinter::Print(std::ostream& os) const {
   print_separator();
   print_cells(headers_);
   print_separator();
-  for (const auto& row : rows_) {
-    if (row.empty()) {
-      print_separator();
-    } else {
-      print_cells(row);
-    }
-  }
+  for (const auto& row : rows_) print_cells(row);
   print_separator();
 }
 

@@ -27,14 +27,11 @@ class TablePrinter {
 
   void AddRow(std::vector<std::string> cells);
 
-  // Inserts a horizontal separator line before the next row.
-  void AddSeparator();
-
   void Print(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;  // empty row == separator
+  std::vector<std::vector<std::string>> rows_;
 };
 
 }  // namespace parjoin

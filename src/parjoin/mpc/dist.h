@@ -45,37 +45,14 @@ class Dist {
     return total;
   }
 
-  std::int64_t MaxPartSize() const {
-    std::int64_t max_size = 0;
-    for (const auto& part : parts_) {
-      max_size = std::max(max_size, static_cast<std::int64_t>(part.size()));
-    }
-    return max_size;
-  }
-
   // Concatenates all parts into one vector (simulation-side helper; does not
-  // model communication — callers that need the data on one *server* must
-  // use Gather, which charges load).
+  // model communication — data that must reach a server travels through a
+  // charged round of mpc/exchange.h or mpc/primitives.h).
   std::vector<T> Flatten() const {
     std::vector<T> out;
     out.reserve(static_cast<size_t>(TotalSize()));
     for (const auto& part : parts_) {
       out.insert(out.end(), part.begin(), part.end());
-    }
-    return out;
-  }
-
-  // Like Flatten, but moves the elements out instead of copying; the Dist
-  // is left with the same number of parts, all empty. Used by primitives
-  // that consume their input (Sort, Rebalance) to avoid a full copy.
-  std::vector<T> TakeFlatten() {
-    std::vector<T> out;
-    out.reserve(static_cast<size_t>(TotalSize()));
-    for (auto& part : parts_) {
-      out.insert(out.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-      part.clear();
-      part.shrink_to_fit();
     }
     return out;
   }

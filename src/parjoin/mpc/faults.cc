@@ -8,18 +8,6 @@
 namespace parjoin {
 namespace mpc {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kStraggler:
-      return "straggler";
-    case FaultKind::kCorruption:
-      return "corruption";
-  }
-  return "?";
-}
-
 FaultPlan FaultPlan::Generate(const FaultConfig& config, int p) {
   CHECK_GT(p, 0);
   CHECK_GE(config.horizon, 1);
@@ -57,20 +45,6 @@ FaultPlan FaultPlan::Generate(const FaultConfig& config, int p) {
     plan.events_.push_back(e);
   }
   return plan;
-}
-
-std::string FaultPlan::ScheduleString() const {
-  std::ostringstream os;
-  for (const FaultEvent& e : events_) {
-    os << FaultKindName(e.kind) << " round>=" << e.round << " server="
-       << e.server;
-    if (e.kind == FaultKind::kStraggler) os << " factor=" << e.factor;
-    if (e.kind == FaultKind::kCorruption) {
-      os << " mask=" << e.corruption_mask;
-    }
-    os << "\n";
-  }
-  return os.str();
 }
 
 std::string RoundAbort::ToString() const {

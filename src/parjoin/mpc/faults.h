@@ -62,8 +62,6 @@ struct FaultConfig {
 
 enum class FaultKind { kCrash, kStraggler, kCorruption };
 
-const char* FaultKindName(FaultKind kind);
-
 struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
   int round = 1;   // earliest charged round (1-based) at which it may fire
@@ -75,7 +73,7 @@ struct FaultEvent {
 
 // The seeded schedule. Generation is a pure function of (config, p): two
 // plans from the same inputs are identical, which the schedule-determinism
-// tests assert via ScheduleString().
+// tests assert event by event.
 class FaultPlan {
  public:
   FaultPlan() = default;
@@ -84,9 +82,6 @@ class FaultPlan {
 
   const std::vector<FaultEvent>& events() const { return events_; }
   std::vector<FaultEvent>& events() { return events_; }
-
-  // One line per scheduled event, deterministic (firing state excluded).
-  std::string ScheduleString() const;
 
  private:
   std::vector<FaultEvent> events_;

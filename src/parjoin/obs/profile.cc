@@ -177,16 +177,6 @@ Status ProfileStore::SaveFile(const std::string& path) const {
   return OkStatus();
 }
 
-StatusOr<ProfileStore> ProfileStore::LoadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFoundError("cannot open profile file: " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return FromJson(buf.str());
-}
-
 StatusOr<ProfileStore> ProfileStore::LoadOrEmpty(const std::string& path) {
   std::ifstream probe(path);
   if (!probe) return ProfileStore{};

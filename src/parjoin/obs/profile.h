@@ -87,7 +87,6 @@ class ProfileStore : public plan::ExecutionProfileSink {
   static StatusOr<ProfileStore> FromJson(const std::string& text);
 
   Status SaveFile(const std::string& path) const;
-  static StatusOr<ProfileStore> LoadFile(const std::string& path);
   // Missing file -> empty store (a fresh deployment has no history yet);
   // an unreadable or malformed file is still an error.
   static StatusOr<ProfileStore> LoadOrEmpty(const std::string& path);

@@ -75,9 +75,9 @@ CombinedRelation<S> CombineAttrs(mpc::Cluster& cluster,
       if (seen.insert(key).second) keys.part(s).push_back(std::move(key));
     }
   }
-  mpc::Dist<Row> sorted = mpc::Sort(
-      cluster, std::move(keys), [](const Row& a, const Row& b) { return a < b; },
-      p);
+  mpc::Dist<Row> sorted =
+      mpc::Sort(cluster, std::move(keys),
+                [](const Row& a, const Row& b) { return a < b; });
   cluster.ChargeUniformRound(1);  // prefix-sum of per-part distinct counts
 
   // Per-part: drop duplicates across parts (the sort may split a run) and

@@ -173,12 +173,6 @@ StatusOr<QuerySpec> ParseQuerySpecFile(const std::string& path) {
   return ParseQuerySpecText(text, path);
 }
 
-std::int64_t WorkloadSpec::TotalQueries() const {
-  std::int64_t total = 0;
-  for (const auto& q : queries) total += q.repeat;
-  return total;
-}
-
 StatusOr<WorkloadSpec> ParseWorkloadText(const std::string& text,
                                          const std::string& name) {
   WorkloadSpec workload;

@@ -77,9 +77,6 @@ struct WorkloadSpec {
   int p = 8;
   std::vector<WorkloadRegistration> relations;
   std::vector<WorkloadQuery> queries;
-
-  // Sum of per-query repeats: the number of queries the driver enqueues.
-  std::int64_t TotalQueries() const;
 };
 
 // Parses a parjoind workload. Every @<name> edge reference must resolve to

@@ -140,17 +140,5 @@ TEST(RowTest, HashDependsOnSeedAndContent) {
   EXPECT_NE(a.Hash(1), a.Hash(2));
 }
 
-TEST(RowTest, ResizeZeroFillsNewSlots) {
-  Row r{1};
-  r.Resize(4);
-  ASSERT_EQ(r.size(), 4);
-  EXPECT_EQ(r[0], 1);
-  EXPECT_EQ(r[1], 0);
-  EXPECT_EQ(r[3], 0);
-  r.Resize(10);  // forces heap
-  EXPECT_EQ(r[0], 1);
-  EXPECT_EQ(r[9], 0);
-}
-
 }  // namespace
 }  // namespace parjoin

@@ -181,7 +181,6 @@ TEST(WorkloadParse, AcceptsFullWorkload) {
   EXPECT_EQ(w->queries[0].repeat, 3);
   EXPECT_EQ(w->queries[1].label, "q1");  // default label by block index
   EXPECT_EQ(w->queries[1].repeat, 1);
-  EXPECT_EQ(w->TotalQueries(), 4);
   // The header p propagates into every query spec.
   for (const auto& q : w->queries) EXPECT_EQ(q.spec.p, 4);
 }
