@@ -148,7 +148,7 @@ TEST(TablePrinterDeathTest, RejectsWrongArity) {
 TEST(StopwatchTest, MeasuresElapsed) {
   Stopwatch w;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i * 0.5;
+  for (int i = 0; i < 100000; ++i) sink = sink + i * 0.5;
   EXPECT_GE(w.ElapsedSeconds(), 0.0);
   EXPECT_GE(w.ElapsedMillis(), w.ElapsedSeconds());
 }
