@@ -34,7 +34,6 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -163,7 +162,7 @@ class Server {
     obs::Histogram* latency = registry_metrics_.GetHistogram(
         "query_latency_ms", obs::DefaultLatencyBucketsMs());
     while (!queue_.empty()) {
-      Outcome out = Execute(Stage(std::move(queue_.front())));
+      Outcome out = Serve(std::move(queue_.front()));
       queue_.pop_front();
       out.latency_ms = clock.ElapsedMillis();
       latency->Observe(out.latency_ms);
@@ -205,18 +204,6 @@ class Server {
     std::string label;
     QuerySpec spec;
     plan::ExecutionOptions exec;
-  };
-
-  // A staged query: resolved, signed, and planned (or failed trying).
-  struct Admitted {
-    std::string label;
-    plan::ExecutionOptions exec;
-    Status stage_status = OkStatus();
-    std::uint64_t signature = 0;
-    bool cache_hit = false;
-    double plan_ms = 0;
-    std::optional<TreeInstance<S>> instance;
-    std::optional<plan::PhysicalPlan> plan;
   };
 
   static Status AlreadyRegisteredError(const std::string& name) {
@@ -278,76 +265,59 @@ class Server {
     return h;
   }
 
-  Admitted Stage(Pending pending) {
-    Admitted adm;
-    adm.label = std::move(pending.label);
-    adm.exec = pending.exec;
+  // Resolves, signs, plans (or looks the plan up) and executes one query.
+  // Every failure returns an error Outcome, counted once in
+  // queries_failed.
+  Outcome Serve(Pending pending) {
+    Outcome out;
+    out.label = std::move(pending.label);
+    const auto fail = [&](Status status) {
+      out.status = std::move(status);
+      registry_metrics_.GetCounter("queries_failed")->Increment();
+      return std::move(out);
+    };
 
     std::vector<QueryEdge> edges;
     for (const SpecEdge& e : pending.spec.edges) edges.push_back({e.u, e.v});
     StatusOr<JoinTree> query =
         JoinTree::Create(std::move(edges), pending.spec.outputs);
-    if (!query.ok()) {
-      adm.stage_status = query.status();
-      return adm;
-    }
+    if (!query.ok()) return fail(query.status());
     TreeInstance<S> instance{std::move(query).value(), {}};
     std::vector<std::uint64_t> fps;
     for (const SpecEdge& e : pending.spec.edges) {
       auto resolved = ResolveEdge(e);
-      if (!resolved.ok()) {
-        adm.stage_status = resolved.status();
-        return adm;
-      }
+      if (!resolved.ok()) return fail(resolved.status());
       instance.relations.push_back(std::move(resolved->first));
       fps.push_back(resolved->second);
     }
-    if (const Status valid = instance.ValidateStatus(); !valid.ok()) {
-      adm.stage_status = valid;
-      return adm;
+    if (Status valid = instance.ValidateStatus(); !valid.ok()) {
+      return fail(std::move(valid));
     }
 
     const std::string key = CacheKey(pending.spec, fps, options_.p);
-    adm.signature = Signature(key);
-    adm.instance = std::move(instance);
-
+    const std::uint64_t signature = Signature(key);
     Stopwatch sw;
     if (const plan::PhysicalPlan* cached = cache_.Lookup(key)) {
-      adm.plan = *cached;
-      adm.cache_hit = true;
-      adm.plan_ms = sw.ElapsedMillis();
+      out.plan = *cached;
+      out.cache_hit = true;
+      out.plan_ms = sw.ElapsedMillis();
     } else {
       // Planning draws rng from its own signature-seeded cluster, so the
       // execution cluster's stream is identical on cold and warm runs.
-      mpc::Cluster plan_cluster(options_.p, PlanSeed(adm.signature));
-      adm.plan = plan::PlanQuery(plan_cluster, *adm.instance,
-                                 options_.planner);
-      adm.plan->planning_stats = plan_cluster.stats();
-      adm.plan_ms = sw.ElapsedMillis();
-      cache_.Insert(key, *adm.plan);
+      mpc::Cluster plan_cluster(options_.p, PlanSeed(signature));
+      out.plan = plan::PlanQuery(plan_cluster, instance, options_.planner);
+      out.plan.planning_stats = plan_cluster.stats();
+      out.plan_ms = sw.ElapsedMillis();
+      cache_.Insert(key, out.plan);
     }
-    return adm;
-  }
 
-  Outcome Execute(Admitted adm) {
-    Outcome out;
-    out.label = std::move(adm.label);
-    out.cache_hit = adm.cache_hit;
-    out.plan_ms = adm.plan_ms;
-    if (!adm.stage_status.ok()) {
-      out.status = adm.stage_status;
-      registry_metrics_.GetCounter("queries_failed")->Increment();
-      return out;
-    }
-    out.plan = std::move(*adm.plan);
-
-    mpc::Cluster cluster(options_.p, ExecSeed(adm.signature));
+    mpc::Cluster cluster(options_.p, ExecSeed(signature));
     cluster.SetObserver(options_.observer);
-    if (adm.exec.profile == nullptr) {
-      adm.exec.profile = options_.exec.profile;
+    if (pending.exec.profile == nullptr) {
+      pending.exec.profile = options_.exec.profile;
     }
     StatusOr<DistRelation<S>> result = plan::TryExecuteWithRecovery(
-        cluster, std::move(*adm.instance), adm.exec, &out.plan);
+        cluster, std::move(instance), pending.exec, &out.plan);
     const mpc::Cluster::Stats& xs = out.plan.execution_stats;
     const plan::RecoveryReport& rec = out.plan.recovery;
     if (xs.crashes > 0) {
@@ -389,13 +359,10 @@ class Server {
       registry_metrics_.GetCounter("critical_path_total")
           ->Increment(xs.critical_path);
     }
-    if (!result.ok()) {
-      // The cluster (possibly crash-shrunken) dies with this scope; the
-      // next query gets a fresh one from the registered partitions.
-      out.status = result.status();
-      registry_metrics_.GetCounter("queries_failed")->Increment();
-      return out;
-    }
+    // On failure the cluster (possibly crash-shrunken) dies with this
+    // scope; the next query gets a fresh one from the registered
+    // partitions.
+    if (!result.ok()) return fail(result.status());
     out.result = result->ToLocal();
     out.result.Normalize();
     registry_metrics_.GetCounter("queries_served")->Increment();
