@@ -43,48 +43,11 @@ namespace parjoin {
 
 namespace internal_starlike {
 
-// One arm of a star-like query: edges ordered from B outward, and the
-// attribute path [B, C_1, ..., A_i].
-struct Arm {
-  std::vector<int> edge_indices;
-  std::vector<AttrId> path;
-
-  AttrId endpoint() const { return path.back(); }
-  size_t length() const { return edge_indices.size(); }
-};
-
-// Extracts the arms of a star-like (or star) query around `center`.
-inline std::vector<Arm> ExtractArms(const JoinTree& query, AttrId center) {
-  std::vector<Arm> arms;
-  for (int first_edge : query.IncidentEdges(center)) {
-    Arm arm;
-    arm.path.push_back(center);
-    int edge = first_edge;
-    AttrId prev = center;
-    while (true) {
-      arm.edge_indices.push_back(edge);
-      const AttrId next = query.edge(edge).Other(prev);
-      arm.path.push_back(next);
-      if (query.Degree(next) == 1) break;
-      CHECK_EQ(query.Degree(next), 2) << "arm attr " << next
-                                      << " must be an interior path attr";
-      int next_edge = -1;
-      for (int e : query.IncidentEdges(next)) {
-        if (e != edge) next_edge = e;
-      }
-      edge = next_edge;
-      prev = next;
-    }
-    arms.push_back(std::move(arm));
-  }
-  return arms;
-}
-
 // Folds an arm into a single binary relation R(B, A_i) by Yannakakis
 // steps from the leaf toward B (the §6 "shrink" used in Steps 2.1/3.1).
 // `rels[k]` is the relation of arm.edge_indices[k].
 template <SemiringC S>
-DistRelation<S> ShrinkArm(mpc::Cluster& cluster, const Arm& arm,
+DistRelation<S> ShrinkArm(mpc::Cluster& cluster, const JoinTree::Arm& arm,
                           std::vector<DistRelation<S>> rels) {
   const size_t len = arm.length();
   DistRelation<S> fold = std::move(rels[len - 1]);
@@ -116,8 +79,7 @@ DistRelation<S> StarLikeAggregate(mpc::Cluster& cluster,
 
   const AttrId center = instance.query.HighDegreeAttrs()[0];
   const std::vector<AttrId> outputs = instance.query.output_attrs();
-  const std::vector<internal_starlike::Arm> arms =
-      internal_starlike::ExtractArms(instance.query, center);
+  const std::vector<JoinTree::Arm> arms = instance.query.Arms(center);
   const int n = static_cast<int>(arms.size());
   CHECK_LE(n, 6) << "star-like arity is a query constant; >6 unsupported";
 

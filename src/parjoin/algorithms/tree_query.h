@@ -135,7 +135,7 @@ EstimateMap EstimateX(mpc::Cluster& cluster, const TreeInstance<S>& instance,
                       const SkeletonInfo::LeafTb& leaf) {
   // T_B is star-like at leaf.b; estimate each arm independently.
   JoinTree tb = instance.query.InducedSubquery(leaf.tb_edges, {leaf.b});
-  const auto arms = internal_starlike::ExtractArms(tb, leaf.b);
+  const auto arms = tb.Arms(leaf.b);
   EstimateMap x;
   bool first = true;
   for (const auto& arm : arms) {
@@ -378,10 +378,10 @@ DistRelation<S> ComputeTwig(mpc::Cluster& cluster, TreeInstance<S> instance) {
 
       // Shrink the star-like T_B into R(B, endpoints...), then combine.
       JoinTree tb = instance.query.InducedSubquery(leaf.tb_edges, {leaf.b});
-      const auto arms = internal_starlike::ExtractArms(tb, leaf.b);
+      const auto arms = tb.Arms(leaf.b);
       std::vector<AttrId> endpoints;
       for (const auto& arm : arms) endpoints.push_back(arm.endpoint());
-      auto shrink = [&](const internal_starlike::Arm& arm) {
+      auto shrink = [&](const JoinTree::Arm& arm) {
         std::vector<DistRelation<S>> arm_rels;
         for (int local_e : arm.edge_indices) {
           arm_rels.push_back(sub.relations[static_cast<size_t>(

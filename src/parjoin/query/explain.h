@@ -11,8 +11,10 @@
 #ifndef PARJOIN_QUERY_EXPLAIN_H_
 #define PARJOIN_QUERY_EXPLAIN_H_
 
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "parjoin/query/join_tree.h"
 
@@ -51,26 +53,8 @@ inline void DescribeShape(const JoinTree& q, const std::string& indent,
     AttrId center = -1;
     if (!q.IsStarShaped(&center)) center = q.HighDegreeAttrs()[0];
     os << indent << "center B = " << center << "; arms:";
-    for (int e : q.IncidentEdges(center)) {
-      // Walk each arm to its endpoint to report the length.
-      int length = 0;
-      AttrId prev = center;
-      int edge = e;
-      while (true) {
-        ++length;
-        const AttrId next = q.edge(edge).Other(prev);
-        if (q.Degree(next) == 1) {
-          os << " [A" << next << ", length " << length << "]";
-          break;
-        }
-        int next_edge = -1;
-        for (int e2 : q.IncidentEdges(next)) {
-          if (e2 != edge) next_edge = e2;
-        }
-        if (next_edge < 0) break;
-        prev = next;
-        edge = next_edge;
-      }
+    for (const JoinTree::Arm& arm : q.Arms(center)) {
+      os << " [A" << arm.endpoint() << ", length " << arm.length() << "]";
     }
     os << "\n";
   }
@@ -98,20 +82,8 @@ inline std::string ExplainQuery(const JoinTree& query) {
   // static.) Simulate the reduction on the tree alone.
   JoinTree reduced = query;
   int folds = 0;
-  while (reduced.num_edges() > 1) {
-    int fold_edge = -1;
-    for (int i = 0; i < reduced.num_edges() && fold_edge < 0; ++i) {
-      for (AttrId a : {reduced.edge(i).u, reduced.edge(i).v}) {
-        if (!reduced.IsOutput(a) && reduced.Degree(a) == 1) fold_edge = i;
-      }
-    }
-    if (fold_edge < 0) break;
-    std::vector<QueryEdge> edges;
-    for (int i = 0; i < reduced.num_edges(); ++i) {
-      if (i != fold_edge) edges.push_back(reduced.edge(i));
-    }
-    std::vector<AttrId> outputs = reduced.output_attrs();
-    reduced = JoinTree(std::move(edges), std::move(outputs));
+  while (std::optional<JoinTree::Fold> fold = reduced.NextFold()) {
+    reduced = std::move(fold->rest);
     ++folds;
   }
   if (folds > 0) {

@@ -312,6 +312,46 @@ std::vector<JoinTree::RootedEdge> JoinTree::BottomUpOrder(
   return order;
 }
 
+std::vector<JoinTree::Arm> JoinTree::Arms(AttrId center) const {
+  std::vector<Arm> arms;
+  for (int first_edge : IncidentEdges(center)) {
+    Arm arm;
+    arm.path.push_back(center);
+    int edge = first_edge;
+    AttrId prev = center;
+    while (true) {
+      arm.edge_indices.push_back(edge);
+      const AttrId next = edges_[static_cast<size_t>(edge)].Other(prev);
+      arm.path.push_back(next);
+      if (Degree(next) == 1) break;
+      CHECK_EQ(Degree(next), 2) << "arm attr " << next
+                                << " must be an interior path attr";
+      int next_edge = -1;
+      for (int e : IncidentEdges(next)) {
+        if (e != edge) next_edge = e;
+      }
+      edge = next_edge;
+      prev = next;
+    }
+    arms.push_back(std::move(arm));
+  }
+  return arms;
+}
+
+std::optional<JoinTree::Fold> JoinTree::NextFold() const {
+  if (num_edges() <= 1) return std::nullopt;
+  for (int i = 0; i < num_edges(); ++i) {
+    const QueryEdge& e = edges_[static_cast<size_t>(i)];
+    for (AttrId a : {e.u, e.v}) {
+      if (IsOutput(a) || Degree(a) != 1) continue;
+      std::vector<QueryEdge> rest = edges_;
+      rest.erase(rest.begin() + i);
+      return Fold{i, a, JoinTree(std::move(rest), output_attrs_)};
+    }
+  }
+  return std::nullopt;
+}
+
 std::vector<AttrId> JoinTree::HighDegreeAttrs() const {
   std::vector<AttrId> out;
   for (AttrId a : attrs_) {

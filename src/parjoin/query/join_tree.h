@@ -12,11 +12,13 @@
 //  * query classification — matrix multiplication / line / star /
 //    star-like / general tree, which selects the §3–§7 algorithm;
 //  * rooted traversal orders for Yannakakis;
-//  * twig decomposition and skeleton extraction (§7).
+//  * the arms of star and star-like queries (§6);
+//  * the §7 fold step, twig decomposition and skeleton extraction.
 
 #ifndef PARJOIN_QUERY_JOIN_TREE_H_
 #define PARJOIN_QUERY_JOIN_TREE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,7 +121,32 @@ class JoinTree {
   // `root_attr`. Reversing gives a top-down order.
   std::vector<RootedEdge> BottomUpOrder(AttrId root_attr) const;
 
+  // --- §6 structure ---
+
+  // One arm of a star or star-like query: the path from the center out to
+  // a leaf. edge_indices[k] joins path[k] and path[k + 1], so `path` is
+  // [center, C_1, ..., endpoint].
+  struct Arm {
+    std::vector<int> edge_indices;
+    std::vector<AttrId> path;
+
+    AttrId endpoint() const { return path.back(); }
+    size_t length() const { return edge_indices.size(); }
+  };
+
+  // The arms around `center`, one per incident edge in IncidentEdges
+  // order. CHECK-fails when an arm passes an attribute that lies on more
+  // than two edges.
+  std::vector<Arm> Arms(AttrId center) const;
+
   // --- §7 structure ---
+
+  // One step of the §7 reduction (query/reduce.h): the first edge, by
+  // index, with a non-output endpoint that no other edge covers, and the
+  // query without that edge. nullopt when no edge qualifies or only one
+  // edge remains.
+  struct Fold;
+  std::optional<Fold> NextFold() const;
 
   // Attributes that appear in more than two relations.
   std::vector<AttrId> HighDegreeAttrs() const;
@@ -153,6 +180,12 @@ class JoinTree {
   std::vector<std::vector<int>> incident_;
 
   int AttrIndex(AttrId a) const;  // index into attrs_, -1 if absent
+};
+
+struct JoinTree::Fold {
+  int edge = -1;             // the folded edge: an index into edges()
+  AttrId private_attr = -1;  // the endpoint only `edge` covers
+  JoinTree rest;             // the query without `edge`, same outputs
 };
 
 }  // namespace parjoin

@@ -9,6 +9,7 @@
 #ifndef PARJOIN_QUERY_REDUCE_H_
 #define PARJOIN_QUERY_REDUCE_H_
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -23,24 +24,10 @@ namespace parjoin {
 // algorithms regardless of its output attributes).
 template <SemiringC S>
 void ReduceInstance(mpc::Cluster& cluster, TreeInstance<S>* instance) {
-  while (instance->query.num_edges() > 1) {
+  while (std::optional<JoinTree::Fold> fold = instance->query.NextFold()) {
     const JoinTree& q = instance->query;
-
-    // Find an edge with a private non-output endpoint.
-    int fold_edge = -1;
-    AttrId private_attr = -1;
-    for (int i = 0; i < q.num_edges() && fold_edge < 0; ++i) {
-      for (AttrId a : {q.edge(i).u, q.edge(i).v}) {
-        if (!q.IsOutput(a) && q.Degree(a) == 1) {
-          fold_edge = i;
-          private_attr = a;
-          break;
-        }
-      }
-    }
-    if (fold_edge < 0) return;
-
-    const AttrId shared = q.edge(fold_edge).Other(private_attr);
+    const int fold_edge = fold->edge;
+    const AttrId shared = q.edge(fold_edge).Other(fold->private_attr);
     // Aggregate the private attribute away: factors(shared) = Σ_v R_e.
     DistRelation<S> factors = AggregateByAttrs(
         cluster, instance->relations[static_cast<size_t>(fold_edge)],
@@ -59,17 +46,14 @@ void ReduceInstance(mpc::Cluster& cluster, TreeInstance<S>* instance) {
         cluster, instance->relations[static_cast<size_t>(neighbor)], factors,
         shared);
 
-    // Rebuild the query without the folded edge.
-    std::vector<QueryEdge> edges;
+    // Drop the folded edge's relation; fold->rest is the query without it.
     std::vector<DistRelation<S>> relations;
     for (int i = 0; i < q.num_edges(); ++i) {
       if (i == fold_edge) continue;
-      edges.push_back(q.edge(i));
       relations.push_back(
           std::move(instance->relations[static_cast<size_t>(i)]));
     }
-    std::vector<AttrId> outputs = q.output_attrs();
-    instance->query = JoinTree(std::move(edges), std::move(outputs));
+    instance->query = std::move(fold->rest);
     instance->relations = std::move(relations);
   }
 }
