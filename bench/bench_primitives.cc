@@ -230,7 +230,7 @@ void PrintLinearLoadTable() {
     std::vector<mpc::PackedItem> items;
     Rng rng(5);
     for (std::int64_t i = 0; i < n / 16; ++i) {
-      items.push_back({i, rng.UniformDouble() * 0.9 + 0.05, -1});
+      items.push_back({i, rng.UniformDouble() * 0.9 + 0.05});
     }
     mpc::ParallelPacking(c, std::move(items));
     add_row("parallel-packing", c, n / 16 / p);

@@ -19,6 +19,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -98,14 +99,13 @@ DistRelation<S> LineQueryRec(mpc::Cluster& cluster,
     RemoveDangling(cluster, &heavy_instance);
 
     if (heavy_instance.relations[0].TotalSize() > 0) {
-      // (2.1) R(A_i, A_{n+1}) for i = n-1 .. 2 via Yannakakis steps.
-      DistRelation<S> fold =
-          std::move(heavy_instance.relations[static_cast<size_t>(n) - 1]);
-      for (int i = n - 2; i >= 1; --i) {
-        fold = JoinAggregate(cluster,
-                             heavy_instance.relations[static_cast<size_t>(i)],
-                             fold, {path[static_cast<size_t>(i)], path.back()});
-      }
+      // (2.1) R(A_2, A_{n+1}) via Yannakakis steps.
+      std::vector<DistRelation<S>> tail(
+          std::make_move_iterator(heavy_instance.relations.begin() + 1),
+          std::make_move_iterator(heavy_instance.relations.end()));
+      DistRelation<S> fold = FoldPath(
+          cluster, std::move(tail),
+          std::vector<AttrId>(path.begin() + 1, path.end()));
       // (2.2) reduce to matrix multiplication (output-sensitive, §3.2).
       MatMulOptions options;
       options.remove_dangling = false;

@@ -165,20 +165,15 @@ DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
           std::min(1.0, std::max<double>(1.0, static_cast<double>(
                                                   est->ForValue(a))) /
                             static_cast<double>(heavy_row_threshold));
-      row_items.push_back({a, weight, -1});
+      row_items.push_back({a, weight});
     });
   }
-  row_items = mpc::ParallelPacking(cluster, std::move(row_items));
-  std::unordered_map<Value, int> group_of_a;
-  int k1 = 0;
-  for (const auto& item : row_items) {
-    group_of_a[item.id] = item.group;
-    k1 = std::max(k1, item.group + 1);
-  }
-  k1 = std::max(k1, 1);
+  const mpc::Packing rows =
+      mpc::ParallelPacking(cluster, std::move(row_items));
+  const int k1 = std::max(rows.groups, 1);
 
   // Per-group R1 fragments (local split, free).
-  auto group_of = [&](Value a) { return group_of_a.at(a); };
+  auto group_of = [&](Value a) { return rows.group_of.at(a); };
   const auto r1_groups = SplitByAttr(r1_light, m.a_pos, k1, group_of);
   std::vector<std::int64_t> group_size(static_cast<size_t>(k1), 0);
   for (int i = 0; i < k1; ++i) {
@@ -229,18 +224,14 @@ DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
       } else {
         col_items.push_back(
             {c, std::min(1.0, static_cast<double>(cnt) /
-                                  static_cast<double>(L)),
-             -1});
+                                  static_cast<double>(L))});
       }
     }
-    col_items = mpc::ParallelPacking(cluster, std::move(col_items));
-    int k2 = 0;
-    std::vector<std::int64_t> bucket_r2_size;
-    for (const auto& item : col_items) {
-      bucket_of_c[static_cast<size_t>(i)][item.id] = item.group;
-      k2 = std::max(k2, item.group + 1);
-    }
-    bucket_r2_size.assign(static_cast<size_t>(std::max(k2, 1)), 0);
+    mpc::Packing cols = mpc::ParallelPacking(cluster, std::move(col_items));
+    const int k2 = cols.groups;
+    bucket_of_c[static_cast<size_t>(i)] = std::move(cols.group_of);
+    std::vector<std::int64_t> bucket_r2_size(
+        static_cast<size_t>(std::max(k2, 1)), 0);
     // parjoin-analyzer: order-independent(commutative int64 sums per bucket)
     for (const auto& [c, j] : bucket_of_c[static_cast<size_t>(i)]) {
       bucket_r2_size[static_cast<size_t>(j)] += deg_c[c];
@@ -262,7 +253,7 @@ DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
         // Pure const lookups only: the route runs concurrently across
         // source parts (exchange.h contract).
         const Value b = t.row[m.b1_pos];
-        const int i = group_of_a.at(t.row[m.a_pos]);
+        const int i = rows.group_of.at(t.row[m.a_pos]);
         for (const Group& g : heavy_groups[static_cast<size_t>(i)]) {
           dests->push_back(b_shard(b, g));
         }

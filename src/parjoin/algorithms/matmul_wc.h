@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "parjoin/common/checked_math.h"
-#include "parjoin/common/hash.h"
 #include "parjoin/common/logging.h"
 #include "parjoin/common/parallel_for.h"
 #include "parjoin/common/sorted_view.h"
@@ -126,9 +125,7 @@ struct BShard {
   std::uint64_t seed = 0;
 
   int operator()(Value b, const Group& g) const {
-    return g.base + static_cast<int>(
-                        Mix64(static_cast<std::uint64_t>(b) ^ seed) %
-                        static_cast<std::uint64_t>(g.size));
+    return g.base + HashPart(b, seed, g.size);
   }
 };
 
@@ -299,25 +296,15 @@ DistRelation<S> MatMulWorstCase(mpc::Cluster& cluster,
     std::vector<mpc::PackedItem> items;
     degrees.ForEach([&](const ValueCount& vc) {
       if (heavy.find(vc.value) != heavy.end()) return;
-      items.push_back({vc.value, std::min(
-                                     1.0, static_cast<double>(vc.count) / L),
-                       -1});
+      items.push_back(
+          {vc.value, std::min(1.0, static_cast<double>(vc.count) / L)});
     });
-    items = mpc::ParallelPacking(cluster, std::move(items));
-    std::unordered_map<Value, int> bucket_of;
-    int num_buckets = 0;
-    for (const auto& item : items) {
-      bucket_of[item.id] = item.group;
-      num_buckets = std::max(num_buckets, item.group + 1);
-    }
-    return std::make_pair(std::move(bucket_of), num_buckets);
+    return mpc::ParallelPacking(cluster, std::move(items));
   };
-  auto pack_a = pack_side(deg_a, heavy_a);
-  auto pack_c = pack_side(deg_c, heavy_c);
-  std::unordered_map<Value, int>& bucket_a = pack_a.first;
-  std::unordered_map<Value, int>& bucket_c = pack_c.first;
-  const int k1 = std::max(1, pack_a.second);
-  const int k2 = std::max(1, pack_c.second);
+  const mpc::Packing pack_a = pack_side(deg_a, heavy_a);
+  const mpc::Packing pack_c = pack_side(deg_c, heavy_c);
+  const int k1 = std::max(1, pack_a.groups);
+  const int k2 = std::max(1, pack_c.groups);
   const Group grid = servers.Take(k1 * k2);
   const int num_virtual = servers.count;
   // The paper guarantees sum of allocations = O(p); surface violations.
@@ -344,7 +331,7 @@ DistRelation<S> MatMulWorstCase(mpc::Cluster& cluster,
           dests->push_back(b_shard(b, hl[ai]));
         } else {
           for (const Group& g : lh) dests->push_back(b_shard(b, g));
-          const int i = bucket_a.at(a);
+          const int i = pack_a.group_of.at(a);
           for (int j = 0; j < k2; ++j) {
             dests->push_back(grid.base + i * k2 + j);
           }
@@ -364,7 +351,7 @@ DistRelation<S> MatMulWorstCase(mpc::Cluster& cluster,
           dests->push_back(b_shard(b, lh[cj]));
         } else {
           for (const Group& g : hl) dests->push_back(b_shard(b, g));
-          const int j = bucket_c.at(c);
+          const int j = pack_c.group_of.at(c);
           for (int i = 0; i < k1; ++i) {
             dests->push_back(grid.base + i * k2 + j);
           }

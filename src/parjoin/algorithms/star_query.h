@@ -67,29 +67,23 @@ DistRelation<S> StarQueryAggregate(mpc::Cluster& cluster,
 
   // --- Step 1: co-partition everything by B; per-part degree vectors give
   // every b its permutation class (as-executed exchanges). ---
-  auto route_b = [&](Value b) {
-    return static_cast<int>(Mix64(static_cast<std::uint64_t>(b) ^ 0x57a7) %
-                            static_cast<std::uint64_t>(p));
-  };
-  std::vector<mpc::Dist<Tuple<S>>> by_b(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    by_b[static_cast<size_t>(i)] = mpc::Exchange(
-        cluster, instance.relations[static_cast<size_t>(i)].data, p,
-        [&](const Tuple<S>& t) {
-          return route_b(t.row[b_pos[static_cast<size_t>(i)]]);
-        });
+    auto& rel = instance.relations[static_cast<size_t>(i)];
+    rel.data = PartitionByColumn(cluster, rel.data,
+                                 b_pos[static_cast<size_t>(i)], 0x57a7);
   }
 
-  // perm id per b, per part; permutation ids are dense via a global table
-  // (there are at most n! of them; the table itself is O(1)).
+  // Permutation id per b (co-partitioning puts each b in exactly one
+  // part); ids are dense via a global table (there are at most n! of
+  // them; the table itself is O(1)).
   std::map<std::vector<int>, int> perm_ids;
   std::vector<std::vector<int>> perm_list;  // id -> degree-sorted arm order
-  std::vector<std::unordered_map<Value, int>> perm_of_b(
-      static_cast<size_t>(p));
+  std::unordered_map<Value, int> perm_of_b;
   for (int s = 0; s < p; ++s) {
     std::unordered_map<Value, std::vector<std::int64_t>> degs;
     for (int i = 0; i < n; ++i) {
-      for (const auto& t : by_b[static_cast<size_t>(i)].part(s)) {
+      for (const auto& t :
+           instance.relations[static_cast<size_t>(i)].data.part(s)) {
         auto& d = degs[t.row[b_pos[static_cast<size_t>(i)]]];
         if (d.empty()) d.assign(static_cast<size_t>(n), 0);
         d[static_cast<size_t>(i)] += 1;
@@ -111,34 +105,21 @@ DistRelation<S> StarQueryAggregate(mpc::Cluster& cluster,
       auto [it, inserted] =
           perm_ids.emplace(order, static_cast<int>(perm_ids.size()));
       if (inserted) perm_list.push_back(order);
-      perm_of_b[static_cast<size_t>(s)][b] = it->second;
+      perm_of_b[b] = it->second;
     }
   }
 
-  // Per-(perm, relation) fragments (local split, free).
+  // Per-(relation, perm) fragments (local split, free): frag[i][q].
   const int num_perms = static_cast<int>(perm_list.size());
-  std::vector<std::vector<DistRelation<S>>> frag(
-      static_cast<size_t>(num_perms));
-  for (int q = 0; q < num_perms; ++q) {
-    frag[static_cast<size_t>(q)].resize(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      frag[static_cast<size_t>(q)][static_cast<size_t>(i)].schema =
-          instance.relations[static_cast<size_t>(i)].schema;
-      frag[static_cast<size_t>(q)][static_cast<size_t>(i)].data =
-          mpc::Dist<Tuple<S>>(p);
-    }
-  }
-  for (int s = 0; s < p; ++s) {
-    for (int i = 0; i < n; ++i) {
-      for (auto& t : by_b[static_cast<size_t>(i)].part(s)) {
-        auto it = perm_of_b[static_cast<size_t>(s)].find(
-            t.row[b_pos[static_cast<size_t>(i)]]);
-        if (it == perm_of_b[static_cast<size_t>(s)].end()) continue;
-        frag[static_cast<size_t>(it->second)][static_cast<size_t>(i)]
-            .data.part(s)
-            .push_back(std::move(t));
-      }
-    }
+  auto perm_of = [&](Value b) {
+    auto it = perm_of_b.find(b);
+    return it == perm_of_b.end() ? -1 : it->second;
+  };
+  std::vector<std::vector<DistRelation<S>>> frag;
+  for (int i = 0; i < n; ++i) {
+    frag.push_back(
+        SplitByAttr(std::move(instance.relations[static_cast<size_t>(i)]),
+                    b_pos[static_cast<size_t>(i)], num_perms, perm_of));
   }
 
   // --- Step 2: per permutation class, reduce to matrix multiplication. ---
@@ -160,7 +141,7 @@ DistRelation<S> StarQueryAggregate(mpc::Cluster& cluster,
     }
 
     auto arm_frag = [&](int arm) -> const DistRelation<S>& {
-      return frag[static_cast<size_t>(q)][static_cast<size_t>(arm)];
+      return frag[static_cast<size_t>(arm)][static_cast<size_t>(q)];
     };
     DistRelation<S> odd_rel = JoinFold<S>(cluster, odd_arms, arm_frag);
     DistRelation<S> even_rel = JoinFold<S>(cluster, even_arms, arm_frag);

@@ -41,25 +41,6 @@
 
 namespace parjoin {
 
-namespace internal_starlike {
-
-// Folds an arm into a single binary relation R(B, A_i) by Yannakakis
-// steps from the leaf toward B (the §6 "shrink" used in Steps 2.1/3.1).
-// `rels[k]` is the relation of arm.edge_indices[k].
-template <SemiringC S>
-DistRelation<S> ShrinkArm(mpc::Cluster& cluster, const JoinTree::Arm& arm,
-                          std::vector<DistRelation<S>> rels) {
-  const size_t len = arm.length();
-  DistRelation<S> fold = std::move(rels[len - 1]);
-  for (size_t k = len - 1; k-- > 0;) {
-    fold = JoinAggregate(cluster, std::move(rels[k]), fold,
-                         {arm.path[k], arm.endpoint()});
-  }
-  return fold;  // schema contains {B, endpoint}
-}
-
-}  // namespace internal_starlike
-
 // Computes a star-like query (kStarLike). Stars, lines, and matrix
 // multiplications are dispatched to their dedicated algorithms.
 template <SemiringC S>
@@ -108,12 +89,9 @@ DistRelation<S> StarLikeAggregate(mpc::Cluster& cluster,
       });
       cluster.ChargeUniformRound((n_total + cluster.p() - 1) / cluster.p());
     } else {
-      std::vector<DistRelation<S>> chain;
-      for (int e : arm.edge_indices) {
-        chain.push_back(instance.relations[static_cast<size_t>(e)]);
-      }
-      OutEstimate est = EstimateChainOut(cluster, chain, arm.path,
-                                         kFixedEstimateRepetitions);
+      OutEstimate est =
+          EstimateChainOut(cluster, instance.RelationsOf(arm.edge_indices),
+                           arm.path, kFixedEstimateRepetitions);
       branching[static_cast<size_t>(i)] = std::move(est.per_source);
     }
   }
@@ -164,34 +142,36 @@ DistRelation<S> StarLikeAggregate(mpc::Cluster& cluster,
   const AttrId x_i = max_attr + 2;
   const AttrId x_j = max_attr + 3;
 
+  // Split every arm's B-relation by class (local; the class map is known
+  // everywhere): by_class[i][cls] is arm i's first relation in class cls.
+  const int num_classes = static_cast<int>(class_list.size());
+  auto class_of = [&](Value b) {
+    auto it = class_of_b.find(b);
+    return it == class_of_b.end() ? -1 : it->second;
+  };
+  std::vector<std::vector<DistRelation<S>>> by_class;
+  for (const auto& arm : arms) {
+    const auto& rel = instance.relations[static_cast<size_t>(
+        arm.edge_indices[0])];
+    by_class.push_back(SplitByAttr(rel, rel.schema.IndexOf(center),
+                                   num_classes, class_of));
+  }
+
   std::vector<DistRelation<S>> results;
 
   mpc::ParallelRegion class_region(cluster);
-  for (int cls = 0; cls < static_cast<int>(class_list.size()); ++cls) {
+  for (int cls = 0; cls < num_classes; ++cls) {
     class_region.NextBranch();
     const auto& [order, small] = class_list[static_cast<size_t>(cls)];
 
-    // Build the class sub-instance: B-incident relations filtered to the
-    // class's b values (local filter; the class map is known everywhere).
+    // The class sub-instance: B-incident relations hold the class's b
+    // values only. None is empty: a b gets a class only when it has a
+    // branching estimate, and so a tuple, in every arm.
     TreeInstance<S> sub{instance.query, instance.relations};
-    auto in_class = [&](Value b) {
-      auto it = class_of_b.find(b);
-      return it != class_of_b.end() && it->second == cls ? 0 : -1;
-    };
-    for (const auto& arm : arms) {
-      auto& rel = sub.relations[static_cast<size_t>(arm.edge_indices[0])];
-      const int pos = rel.schema.IndexOf(center);
-      rel = std::move(SplitByAttr(std::move(rel), pos, 1, in_class)[0]);
-    }
-    {
-      bool any = false;
-      for (const auto& arm : arms) {
-        if (sub.relations[static_cast<size_t>(arm.edge_indices[0])]
-                .TotalSize() > 0) {
-          any = true;
-        }
-      }
-      if (!any) continue;
+    for (int i = 0; i < n; ++i) {
+      sub.relations[static_cast<size_t>(
+          arms[static_cast<size_t>(i)].edge_indices[0])] =
+          std::move(by_class[static_cast<size_t>(i)][static_cast<size_t>(cls)]);
     }
     RemoveDangling(cluster, &sub);
     if (sub.relations[static_cast<size_t>(arms[0].edge_indices[0])]
@@ -199,13 +179,10 @@ DistRelation<S> StarLikeAggregate(mpc::Cluster& cluster,
       continue;
     }
 
+    // The §6 shrink (Steps 2.1/3.1): fold an arm into R(B, A_i).
     auto shrink = [&](int arm_idx) {
       const auto& arm = arms[static_cast<size_t>(arm_idx)];
-      std::vector<DistRelation<S>> rels;
-      for (int e : arm.edge_indices) {
-        rels.push_back(sub.relations[static_cast<size_t>(e)]);
-      }
-      return internal_starlike::ShrinkArm(cluster, arm, std::move(rels));
+      return FoldPath(cluster, sub.RelationsOf(arm.edge_indices), arm.path);
     };
 
     if (small) {
@@ -224,14 +201,12 @@ DistRelation<S> StarLikeAggregate(mpc::Cluster& cluster,
       const auto& last_arm =
           arms[static_cast<size_t>(order[static_cast<size_t>(n) - 1])];
       std::vector<QueryEdge> line_edges = {{x_small, center}};
-      std::vector<DistRelation<S>> line_rels;
-      line_rels.push_back(std::move(combined.binary));
       for (size_t k = 0; k < last_arm.length(); ++k) {
-        line_edges.push_back(
-            {last_arm.path[k], last_arm.path[k + 1]});
-        line_rels.push_back(
-            sub.relations[static_cast<size_t>(last_arm.edge_indices[k])]);
+        line_edges.push_back({last_arm.path[k], last_arm.path[k + 1]});
       }
+      std::vector<DistRelation<S>> line_rels =
+          sub.RelationsOf(last_arm.edge_indices);
+      line_rels.insert(line_rels.begin(), std::move(combined.binary));
       TreeInstance<S> line_instance{
           JoinTree(line_edges, {x_small, last_arm.endpoint()}),
           std::move(line_rels)};
@@ -276,56 +251,38 @@ DistRelation<S> StarLikeAggregate(mpc::Cluster& cluster,
       // Step 3.3: uniformize by the degree of b in R(X_I, B): log groups.
       // Degrees and relations are co-partitioned by b (as-executed).
       const int p = cluster.p();
-      auto route_b = [&](Value b) {
-        return static_cast<int>(
-            Mix64(static_cast<std::uint64_t>(b) ^ 0x10f2) %
-            static_cast<std::uint64_t>(p));
-      };
       mpc::Dist<ValueCount> deg_b =
           DegreesByAttr(cluster, comb_i.binary, center);
       mpc::Dist<ValueCount> deg_parted = mpc::Exchange(
           cluster, deg_b, p,
-          [&](const ValueCount& vc) { return route_b(vc.value); });
+          [&](const ValueCount& vc) { return HashPart(vc.value, 0x10f2, p); });
       const int bi_pos = comb_i.binary.schema.IndexOf(center);
       const int bj_pos = comb_j.binary.schema.IndexOf(center);
-      auto i_parted = mpc::Exchange(
-          cluster, comb_i.binary.data, p,
-          [&](const Tuple<S>& t) { return route_b(t.row[bi_pos]); });
-      auto j_parted = mpc::Exchange(
-          cluster, comb_j.binary.data, p,
-          [&](const Tuple<S>& t) { return route_b(t.row[bj_pos]); });
+      DistRelation<S> i_parted{
+          comb_i.binary.schema,
+          PartitionByColumn(cluster, comb_i.binary.data, bi_pos, 0x10f2)};
+      DistRelation<S> j_parted{
+          comb_j.binary.schema,
+          PartitionByColumn(cluster, comb_j.binary.data, bj_pos, 0x10f2)};
 
       constexpr int kMaxLogGroups = 48;
-      std::vector<DistRelation<S>> gi(kMaxLogGroups), gj(kMaxLogGroups);
-      for (int g = 0; g < kMaxLogGroups; ++g) {
-        gi[static_cast<size_t>(g)].schema = comb_i.binary.schema;
-        gi[static_cast<size_t>(g)].data = mpc::Dist<Tuple<S>>(p);
-        gj[static_cast<size_t>(g)].schema = comb_j.binary.schema;
-        gj[static_cast<size_t>(g)].data = mpc::Dist<Tuple<S>>(p);
-      }
-      for (int s = 0; s < p; ++s) {
-        std::unordered_map<Value, int> group_of;
-        for (const auto& vc : deg_parted.part(s)) {
-          int g = 0;
-          while ((std::int64_t{1} << (g + 1)) <= vc.count &&
-                 g + 1 < kMaxLogGroups) {
-            ++g;
-          }
-          group_of[vc.value] = g;
+      std::unordered_map<Value, int> group_of_b;
+      deg_parted.ForEach([&](const ValueCount& vc) {
+        int g = 0;
+        while ((std::int64_t{1} << (g + 1)) <= vc.count &&
+               g + 1 < kMaxLogGroups) {
+          ++g;
         }
-        for (auto& t : i_parted.part(s)) {
-          auto it = group_of.find(t.row[bi_pos]);
-          if (it == group_of.end()) continue;
-          gi[static_cast<size_t>(it->second)].data.part(s).push_back(
-              std::move(t));
-        }
-        for (auto& t : j_parted.part(s)) {
-          auto it = group_of.find(t.row[bj_pos]);
-          if (it == group_of.end()) continue;
-          gj[static_cast<size_t>(it->second)].data.part(s).push_back(
-              std::move(t));
-        }
-      }
+        group_of_b[vc.value] = g;
+      });
+      auto group_of = [&](Value b) {
+        auto it = group_of_b.find(b);
+        return it == group_of_b.end() ? -1 : it->second;
+      };
+      std::vector<DistRelation<S>> gi =
+          SplitByAttr(std::move(i_parted), bi_pos, kMaxLogGroups, group_of);
+      std::vector<DistRelation<S>> gj =
+          SplitByAttr(std::move(j_parted), bj_pos, kMaxLogGroups, group_of);
 
       mpc::ParallelRegion loggroup_region(cluster);
       for (int g = 0; g < kMaxLogGroups; ++g) {

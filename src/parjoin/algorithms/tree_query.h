@@ -50,6 +50,8 @@ struct SkeletonInfo {
   struct LeafTb {
     AttrId b = -1;                // a leaf of the V*-spanning subtree
     std::vector<int> tb_edges;    // edges of the star-like subtree T_B
+    // T_B's arms around b; edge_indices index the query's edges.
+    std::vector<JoinTree::Arm> arms;
   };
   std::vector<LeafTb> leaf_tbs;
   std::vector<int> skeleton_edges;  // all edges not in any T_B
@@ -113,6 +115,12 @@ inline SkeletonInfo AnalyzeSkeleton(const JoinTree& q) {
     leaf.tb_edges.erase(
         std::unique(leaf.tb_edges.begin(), leaf.tb_edges.end()),
         leaf.tb_edges.end());
+    leaf.arms = q.InducedSubquery(leaf.tb_edges, {b}).Arms(b);
+    for (auto& arm : leaf.arms) {
+      for (int& e : arm.edge_indices) {
+        e = leaf.tb_edges[static_cast<size_t>(e)];
+      }
+    }
     for (int e : leaf.tb_edges) tb_edge_set.insert(e);
     info.leaf_tbs.push_back(std::move(leaf));
   }
@@ -134,20 +142,12 @@ template <SemiringC S>
 EstimateMap EstimateX(mpc::Cluster& cluster, const TreeInstance<S>& instance,
                       const SkeletonInfo::LeafTb& leaf) {
   // T_B is star-like at leaf.b; estimate each arm independently.
-  JoinTree tb = instance.query.InducedSubquery(leaf.tb_edges, {leaf.b});
-  const auto arms = tb.Arms(leaf.b);
   EstimateMap x;
   bool first = true;
-  for (const auto& arm : arms) {
-    std::vector<DistRelation<S>> chain;
-    for (int local_e : arm.edge_indices) {
-      // arm.edge_indices index tb's edges; map back to the original edge.
-      chain.push_back(
-          instance.relations[static_cast<size_t>(
-              leaf.tb_edges[static_cast<size_t>(local_e)])]);
-    }
-    OutEstimate est = EstimateChainOut(cluster, chain, arm.path,
-                                       kFixedEstimateRepetitions);
+  for (const auto& arm : leaf.arms) {
+    OutEstimate est =
+        EstimateChainOut(cluster, instance.RelationsOf(arm.edge_indices),
+                         arm.path, kFixedEstimateRepetitions);
     if (first) {
       // parjoin-analyzer: order-independent(one map write per distinct key)
       for (const auto& [b, cnt] : est.per_source) {
@@ -377,19 +377,12 @@ DistRelation<S> ComputeTwig(mpc::Cluster& cluster, TreeInstance<S> instance) {
       for (int e : leaf.tb_edges) folded_edges.insert(e);
 
       // Shrink the star-like T_B into R(B, endpoints...), then combine.
-      JoinTree tb = instance.query.InducedSubquery(leaf.tb_edges, {leaf.b});
-      const auto arms = tb.Arms(leaf.b);
       std::vector<AttrId> endpoints;
-      for (const auto& arm : arms) endpoints.push_back(arm.endpoint());
+      for (const auto& arm : leaf.arms) endpoints.push_back(arm.endpoint());
       auto shrink = [&](const JoinTree::Arm& arm) {
-        std::vector<DistRelation<S>> arm_rels;
-        for (int local_e : arm.edge_indices) {
-          arm_rels.push_back(sub.relations[static_cast<size_t>(
-              leaf.tb_edges[static_cast<size_t>(local_e)])]);
-        }
-        return internal_starlike::ShrinkArm(cluster, arm, std::move(arm_rels));
+        return FoldPath(cluster, sub.RelationsOf(arm.edge_indices), arm.path);
       };
-      DistRelation<S> acc = JoinFold<S>(cluster, arms, shrink);
+      DistRelation<S> acc = JoinFold<S>(cluster, leaf.arms, shrink);
       if (acc.TotalSize() == 0) {
         subquery_empty = true;
         break;
@@ -445,19 +438,13 @@ DistRelation<S> TreeQueryAggregate(mpc::Cluster& cluster,
 
   const auto twigs = instance.query.DecomposeIntoTwigs();
   std::vector<DistRelation<S>> twig_results;
-  std::vector<std::vector<AttrId>> twig_attrs;
   for (const auto& twig : twigs) {
-    JoinTree sub = instance.query.InducedSubquery(twig.edge_indices,
-                                                  twig.boundary_attrs);
-    TreeInstance<S> sub_instance{sub, {}};
-    for (int e : twig.edge_indices) {
-      sub_instance.relations.push_back(
-          instance.relations[static_cast<size_t>(e)]);
-    }
-    DistRelation<S> result =
-        internal_tree::ComputeTwig(cluster, std::move(sub_instance));
-    twig_attrs.push_back(result.schema.attrs());
-    twig_results.push_back(std::move(result));
+    TreeInstance<S> sub_instance{
+        instance.query.InducedSubquery(twig.edge_indices,
+                                       twig.boundary_attrs),
+        instance.RelationsOf(twig.edge_indices)};
+    twig_results.push_back(
+        internal_tree::ComputeTwig(cluster, std::move(sub_instance)));
   }
 
   // Join the twig results (everything is an output attribute now): plain

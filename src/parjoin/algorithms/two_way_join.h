@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "parjoin/common/checked_math.h"
-#include "parjoin/common/hash.h"
 #include "parjoin/common/logging.h"
 #include "parjoin/common/parallel_for.h"
 #include "parjoin/mpc/cluster.h"
@@ -67,10 +66,7 @@ DistRelation<S> TwoWayJoin(mpc::Cluster& cluster, const DistRelation<S>& r,
   // Degree statistics for both sides, co-partitioned by value.
   mpc::Dist<ValueCount> dr = DegreesByAttr(cluster, r, attr);
   mpc::Dist<ValueCount> ds = DegreesByAttr(cluster, s, attr);
-  auto route_value = [&](Value v) {
-    return static_cast<int>(Mix64(static_cast<std::uint64_t>(v) ^ 0x2b7e) %
-                            static_cast<std::uint64_t>(p));
-  };
+  auto route_value = [&](Value v) { return HashPart(v, 0x2b7e, p); };
   mpc::Dist<ValueCount> dr_parted = mpc::Exchange(
       cluster, dr, p, [&](const ValueCount& vc) { return route_value(vc.value); });
   mpc::Dist<ValueCount> ds_parted = mpc::Exchange(
@@ -189,6 +185,22 @@ DistRelation<S> JoinAggregate(mpc::Cluster& cluster, const DistRelation<S>& r,
                               const std::vector<AttrId>& group_attrs) {
   DistRelation<S> joined = TwoWayJoin(cluster, r, s);
   return AggregateByAttrs(cluster, joined, group_attrs);
+}
+
+// Folds the path R(path[0], path[1]) ⋈ ... ⋈ R(path[n-1], path[n]) into
+// R(path[0], path[n]) by Yannakakis steps from the far end (the §4 heavy
+// fold and the §6 arm shrink). rels[k] holds path[k] and path[k + 1].
+template <SemiringC S>
+DistRelation<S> FoldPath(mpc::Cluster& cluster,
+                         std::vector<DistRelation<S>> rels,
+                         const std::vector<AttrId>& path) {
+  CHECK(!rels.empty());
+  CHECK_EQ(path.size(), rels.size() + 1);
+  DistRelation<S> fold = std::move(rels.back());
+  for (size_t k = rels.size() - 1; k-- > 0;) {
+    fold = JoinAggregate(cluster, rels[k], fold, {path[k], path.back()});
+  }
+  return fold;
 }
 
 }  // namespace parjoin

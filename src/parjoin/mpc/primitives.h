@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -431,15 +432,20 @@ Dist<T> ReduceByKey(Cluster& cluster, Dist<T> in, KeyFn key_fn,
 // <= 1 and (all but one set) sum >= 1/2; m <= 1 + 2*sum(w). Modeled-linear:
 // the answer is computed centrally and two rounds of ceil(N/p) are charged
 // (the distributed realization is a prefix-sum + interval assignment).
-// Returns group ids aligned with `items`; ids are dense in [0, m).
 struct PackedItem {
   std::int64_t id = 0;
   double weight = 0;
-  int group = -1;
 };
 
-inline std::vector<PackedItem> ParallelPacking(
-    Cluster& cluster, std::vector<PackedItem> items) {
+// The packing: every item's id maps to its group, and the group ids are
+// dense in [0, groups).
+struct Packing {
+  std::unordered_map<std::int64_t, int> group_of;
+  int groups = 0;
+};
+
+inline Packing ParallelPacking(Cluster& cluster,
+                               std::vector<PackedItem> items) {
   TraceScope trace(cluster, "packing");
   const std::int64_t n = static_cast<std::int64_t>(items.size());
   cluster.ChargeUniformRound((n + cluster.p() - 1) / cluster.p());
@@ -449,34 +455,35 @@ inline std::vector<PackedItem> ParallelPacking(
                    [](const PackedItem& a, const PackedItem& b) {
                      return a.weight > b.weight;
                    });
-  int next_group = 0;
+  Packing out;
   double current_sum = 0;
   int current_group = -1;
-  for (auto& item : items) {
+  for (const auto& item : items) {
     CHECK_GE(item.weight, 0.0);
     CHECK_LE(item.weight, 1.0 + 1e-12);
+    int& group = out.group_of[item.id];
     if (item.weight <= 0.0) {
       // Zero-weight items (e.g. empty arm groups) ride along in the most
       // recent group: they add nothing to its sum and must not open a
       // group of their own, which would break m <= 1 + 2*sum(w). They
       // sort last, so a group exists unless every weight is zero.
-      if (next_group == 0) next_group = 1;
-      item.group = current_group >= 0 ? current_group : next_group - 1;
+      if (out.groups == 0) out.groups = 1;
+      group = current_group >= 0 ? current_group : out.groups - 1;
       continue;
     }
     if (item.weight >= 0.5) {
-      item.group = next_group++;
+      group = out.groups++;
       continue;
     }
     if (current_group < 0 || current_sum + item.weight > 1.0) {
-      current_group = next_group++;
+      current_group = out.groups++;
       current_sum = 0;
     }
-    item.group = current_group;
+    group = current_group;
     current_sum += item.weight;
     if (current_sum > 0.5) current_group = -1;  // group is full enough
   }
-  return items;
+  return out;
 }
 
 }  // namespace mpc

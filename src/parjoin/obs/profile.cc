@@ -185,8 +185,7 @@ StatusOr<ProfileStore> ProfileStore::LoadOrEmpty(const std::string& path) {
   return FromJson(buf.str());
 }
 
-plan::CalibrationTable FitCalibration(const ProfileStore& profile,
-                                      std::int64_t min_runs) {
+plan::CalibrationTable FitCalibration(const ProfileStore& profile) {
   struct Fit {
     std::int64_t runs = 0;
     double sum_log_ratio = 0;
@@ -204,14 +203,12 @@ plan::CalibrationTable FitCalibration(const ProfileStore& profile,
   }
   plan::CalibrationTable table;
   for (const auto& [algorithm, fit] : by_algorithm) {
-    if (fit.runs < min_runs) continue;
     const double factor =
         std::exp(fit.sum_log_ratio / static_cast<double>(fit.runs));
     if (!std::isfinite(factor) || factor <= 0) continue;
     table.SetDefault(algorithm, factor, fit.runs);
   }
   for (const auto& [key, fit] : by_shape) {
-    if (fit.runs < min_runs) continue;
     const double factor =
         std::exp(fit.sum_log_ratio / static_cast<double>(fit.runs));
     if (!std::isfinite(factor) || factor <= 0) continue;

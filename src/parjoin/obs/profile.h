@@ -101,10 +101,8 @@ class ProfileStore : public plan::ExecutionProfileSink {
 
 // Fits per-(algorithm, shape) factors — geometric mean of measured /
 // predicted, run-weighted across p and size buckets — plus a per-algorithm
-// any-shape default. Cells need at least `min_runs` combined runs before
-// their factor is trusted (fewer samples keep constant 1).
-plan::CalibrationTable FitCalibration(const ProfileStore& profile,
-                                      std::int64_t min_runs = 1);
+// any-shape default.
+plan::CalibrationTable FitCalibration(const ProfileStore& profile);
 
 Status SaveCalibrationFile(const plan::CalibrationTable& table,
                            const std::string& path);

@@ -13,6 +13,15 @@ double D(std::int64_t v) { return static_cast<double>(v); }
 
 double P23(int p) { return std::pow(D(p), 2.0 / 3.0); }
 
+// Every algorithm, in enum order: the order ScoreCandidates breaks ties in.
+constexpr Algorithm kAll[] = {
+    Algorithm::kSingleRelation,     Algorithm::kYannakakis,
+    Algorithm::kHyperCube,          Algorithm::kMatMulWorstCase,
+    Algorithm::kMatMulOutputSensitive, Algorithm::kLineTheorem4,
+    Algorithm::kStarTheorem5,       Algorithm::kStarLikeLemma7,
+    Algorithm::kTreeTheorem6,
+};
+
 }  // namespace
 
 void CalibrationTable::Set(Algorithm a, QueryShape shape, double factor,
@@ -56,13 +65,6 @@ double CalibrationTable::Factor(Algorithm a, QueryShape shape) const {
 }
 
 StatusOr<Algorithm> AlgorithmFromName(const std::string& name) {
-  static constexpr Algorithm kAll[] = {
-      Algorithm::kSingleRelation,     Algorithm::kYannakakis,
-      Algorithm::kHyperCube,          Algorithm::kMatMulWorstCase,
-      Algorithm::kMatMulOutputSensitive, Algorithm::kLineTheorem4,
-      Algorithm::kStarTheorem5,       Algorithm::kStarLikeLemma7,
-      Algorithm::kTreeTheorem6,
-  };
   for (Algorithm a : kAll) {
     if (name == AlgorithmName(a)) return a;
   }
@@ -123,7 +125,9 @@ bool Applicable(Algorithm a, QueryShape shape) {
     case Algorithm::kMatMulOutputSensitive:
       return shape == QueryShape::kMatMul;
     case Algorithm::kLineTheorem4:
-      return shape == QueryShape::kLine || shape == QueryShape::kMatMul;
+      // A matmul is a 2-relation line, but only the dedicated matmul
+      // algorithms run that shape.
+      return shape == QueryShape::kLine;
     case Algorithm::kStarTheorem5:
       return shape == QueryShape::kStar;
     case Algorithm::kStarLikeLemma7:
@@ -209,20 +213,8 @@ const char* LoadFormula(Algorithm a, QueryShape shape) {
 std::vector<Candidate> ScoreCandidates(QueryShape shape,
                                        const InstanceStats& stats,
                                        const CalibrationTable* calibration) {
-  static constexpr Algorithm kAll[] = {
-      Algorithm::kSingleRelation,     Algorithm::kYannakakis,
-      Algorithm::kHyperCube,          Algorithm::kMatMulWorstCase,
-      Algorithm::kMatMulOutputSensitive, Algorithm::kLineTheorem4,
-      Algorithm::kStarTheorem5,       Algorithm::kStarLikeLemma7,
-      Algorithm::kTreeTheorem6,
-  };
   std::vector<Candidate> out;
   for (Algorithm a : kAll) {
-    // The generic Theorem 4 entry point subsumes matmul (a 2-relation
-    // line); keep only the dedicated matmul branches for that shape.
-    if (a == Algorithm::kLineTheorem4 && shape == QueryShape::kMatMul) {
-      continue;
-    }
     if (!Applicable(a, shape)) continue;
     Candidate c;
     c.algorithm = a;

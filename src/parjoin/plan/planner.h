@@ -39,6 +39,7 @@
 #include "parjoin/plan/plan.h"
 #include "parjoin/query/explain.h"
 #include "parjoin/query/instance.h"
+#include "parjoin/relation/ops.h"
 #include "parjoin/sketch/kmv.h"
 #include "parjoin/sketch/out_estimate.h"
 
@@ -68,10 +69,8 @@ template <SemiringC S>
 void EstimatePath(mpc::Cluster& cluster, const TreeInstance<S>& instance,
                   const std::vector<AttrId>& path, InstanceStats* stats) {
   // Align relations with consecutive path edges.
-  std::vector<DistRelation<S>> chain;
-  for (int e : instance.query.PathEdges(path)) {
-    chain.push_back(instance.relations[static_cast<size_t>(e)]);
-  }
+  const std::vector<DistRelation<S>> chain =
+      instance.RelationsOf(instance.query.PathEdges(path));
   if (chain.size() == 2) {
     stats->n1 = chain[0].TotalSize();
     stats->n2 = chain[1].TotalSize();
@@ -91,10 +90,6 @@ void EstimateStar(mpc::Cluster& cluster, const TreeInstance<S>& instance,
   const int p = cluster.p();
   const int n = instance.query.num_edges();
   const SeededHash hash(cluster.rng().Next());
-  auto route_b = [&](Value b) {
-    return static_cast<int>(Mix64(static_cast<std::uint64_t>(b) ^ 0xb1a9) %
-                            static_cast<std::uint64_t>(p));
-  };
 
   // Co-partition every relation by B (as-executed exchanges, charged).
   std::vector<mpc::Dist<Tuple<S>>> by_b(static_cast<size_t>(n));
@@ -105,10 +100,8 @@ void EstimateStar(mpc::Cluster& cluster, const TreeInstance<S>& instance,
     b_pos[static_cast<size_t>(i)] = rel.schema.IndexOf(center);
     arm_pos[static_cast<size_t>(i)] = 1 - b_pos[static_cast<size_t>(i)];
     CHECK_GE(b_pos[static_cast<size_t>(i)], 0);
-    by_b[static_cast<size_t>(i)] = mpc::Exchange(
-        cluster, rel.data, p, [&](const Tuple<S>& t) {
-          return route_b(t.row[b_pos[static_cast<size_t>(i)]]);
-        });
+    by_b[static_cast<size_t>(i)] = PartitionByColumn(
+        cluster, rel.data, b_pos[static_cast<size_t>(i)], 0xb1a9);
   }
 
   // Per b: per-arm degree and KMV sketch of the arm values. Two b values

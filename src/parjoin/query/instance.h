@@ -22,6 +22,16 @@ struct TreeInstance {
   // {edge.u, edge.v} (in either order).
   std::vector<DistRelation<S>> relations;
 
+  // Copies of the relations of `edges` (indices into query.edges()), in
+  // that order.
+  std::vector<DistRelation<S>> RelationsOf(
+      const std::vector<int>& edges) const {
+    std::vector<DistRelation<S>> out;
+    out.reserve(edges.size());
+    for (int e : edges) out.push_back(relations[static_cast<size_t>(e)]);
+    return out;
+  }
+
   std::int64_t TotalInputSize() const {
     std::int64_t n = 0;
     for (const auto& rel : relations) n += rel.TotalSize();

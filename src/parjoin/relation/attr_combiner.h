@@ -25,7 +25,6 @@
 
 #include "parjoin/common/logging.h"
 #include "parjoin/mpc/cluster.h"
-#include "parjoin/mpc/exchange.h"
 #include "parjoin/relation/ops.h"
 #include "parjoin/relation/relation.h"
 
@@ -146,16 +145,8 @@ DistRelation<S> ExpandAttrs(mpc::Cluster& cluster, const DistRelation<S>& rel,
   const int id_pos = rel.schema.IndexOf(combined_attr);
   CHECK_GE(id_pos, 0);
   const int p = cluster.p();
-  auto route = [&](Value id) {
-    return static_cast<int>(Mix64(static_cast<std::uint64_t>(id) ^ 0xd1c7) %
-                            static_cast<std::uint64_t>(p));
-  };
-  auto rel_parted = mpc::Exchange(
-      cluster, rel.data, p,
-      [&](const Tuple<S>& t) { return route(t.row[id_pos]); });
-  auto dict_parted = mpc::Exchange(
-      cluster, dictionary.data, p,
-      [&](const Tuple<S>& t) { return route(t.row[0]); });
+  auto rel_parted = PartitionByColumn(cluster, rel.data, id_pos, 0xd1c7);
+  auto dict_parted = PartitionByColumn(cluster, dictionary.data, 0, 0xd1c7);
 
   DistRelation<S> joined;
   joined.schema = JoinedSchema(rel.schema, dictionary.schema);

@@ -37,6 +37,26 @@ struct ValueCount {
 
 // --- Partitioning -----------------------------------------------------------
 
+// The server in [0, parts) that value v hashes to. Every value route goes
+// through here; `salt` picks the hash function, so two sides routed with
+// the same salt are co-partitioned.
+inline int HashPart(Value v, std::uint64_t salt, int parts) {
+  return static_cast<int>(Mix64(static_cast<std::uint64_t>(v) ^ salt) %
+                          static_cast<std::uint64_t>(parts));
+}
+
+// Partitions tuples by HashPart of their column `pos`: one exchange round
+// into p parts.
+template <SemiringC S>
+mpc::Dist<Tuple<S>> PartitionByColumn(mpc::Cluster& cluster,
+                                      const mpc::Dist<Tuple<S>>& data,
+                                      int pos, std::uint64_t salt) {
+  const int p = cluster.p();
+  return mpc::Exchange(cluster, data, p, [&](const Tuple<S>& t) {
+    return HashPart(t.row[pos], salt, p);
+  });
+}
+
 // Hash-partitions a relation by the given attributes. One exchange round;
 // load O(N/p) w.h.p. for non-pathological key distributions (heavy keys are
 // handled by the *callers*, which split heavy values off first, exactly as
@@ -241,16 +261,10 @@ DistRelation<S> MultiplyIntoByAttr(mpc::Cluster& cluster,
   const int pos = rel.schema.IndexOf(attr);
   CHECK_GE(pos, 0);
   const int p = cluster.p();
-  auto route = [&](Value v) {
-    return static_cast<int>(Mix64(static_cast<std::uint64_t>(v) ^ 0xf00d) %
-                            static_cast<std::uint64_t>(p));
-  };
-  mpc::Dist<Tuple<S>> rel_parted = mpc::Exchange(
-      cluster, rel.data, p,
-      [&](const Tuple<S>& t) { return route(t.row[pos]); });
-  mpc::Dist<Tuple<S>> fac_parted = mpc::Exchange(
-      cluster, factors.data, p,
-      [&](const Tuple<S>& t) { return route(t.row[0]); });
+  mpc::Dist<Tuple<S>> rel_parted =
+      PartitionByColumn(cluster, rel.data, pos, 0xf00d);
+  mpc::Dist<Tuple<S>> fac_parted =
+      PartitionByColumn(cluster, factors.data, 0, 0xf00d);
 
   DistRelation<S> out;
   out.schema = rel.schema;

@@ -114,10 +114,12 @@ class Server {
     if (rel.schema().size() != 2) {
       return InvalidArgumentError("relation '" + name + "' is not binary");
     }
-    const Schema schema = rel.schema();
+    DistRelation<S> dist;
+    dist.schema = rel.schema();
+    dist.data = mpc::ScatterEvenly(std::move(rel.tuples()), options_.p);
     Registered reg;
-    reg.data = mpc::ScatterEvenly(std::move(rel.tuples()), options_.p);
-    reg.sketch = SketchRelation(DistRelation<S>{schema, reg.data});
+    reg.sketch = SketchRelation(dist);
+    reg.data = std::move(dist.data);
     registry_.emplace(name, std::move(reg));
     return OkStatus();
   }

@@ -147,16 +147,11 @@ OutEstimate EstimateChainOut(mpc::Cluster& cluster,
 
       // Co-partition by the shared attribute path[i+1].
       const std::uint64_t seed = 0x51ed ^ static_cast<std::uint64_t>(i);
-      auto route_val = [&](Value v) {
-        return static_cast<int>(Mix64(static_cast<std::uint64_t>(v) ^ seed) %
-                                static_cast<std::uint64_t>(p));
-      };
       mpc::Dist<KeyedKmv> sk_parted = mpc::Exchange(
           cluster, sketches, p,
-          [&](const KeyedKmv& kk) { return route_val(kk.key); });
-      mpc::Dist<Tuple<S>> rel_parted = mpc::Exchange(
-          cluster, rel.data, p,
-          [&](const Tuple<S>& t) { return route_val(t.row[next_pos]); });
+          [&](const KeyedKmv& kk) { return HashPart(kk.key, seed, p); });
+      mpc::Dist<Tuple<S>> rel_parted =
+          PartitionByColumn(cluster, rel.data, next_pos, seed);
 
       // Local: emit (path[i] value, sketch of joined path[i+1] value).
       mpc::Dist<KeyedKmv> emitted(p);

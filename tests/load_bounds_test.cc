@@ -4,7 +4,6 @@
 // absorb the simulator's replication constants and the Õ log factors) but
 // fixed — a regression that breaks the asymptotics will trip these.
 
-#include <cmath>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -14,14 +13,13 @@
 #include "parjoin/algorithms/star_query.h"
 #include "parjoin/algorithms/tree_query.h"
 #include "parjoin/algorithms/yannakakis.h"
+#include "parjoin/plan/cost_model.h"
 #include "parjoin/workload/generators.h"
 
 namespace parjoin {
 namespace {
 
 using S = CountingSemiring;
-
-double P23(int p) { return std::pow(static_cast<double>(p), 2.0 / 3.0); }
 
 class MatMulBoundTest
     : public ::testing::TestWithParam<std::tuple<int, std::int64_t>> {};
@@ -35,12 +33,7 @@ TEST_P(MatMulBoundTest, Theorem1LoadBound) {
   cluster.ResetStats();
   MatMul(cluster, std::move(instance.relations[0]),
          std::move(instance.relations[1]));
-  const double n1 = static_cast<double>(cfg.n1());
-  const double n2 = static_cast<double>(cfg.n2());
-  const double o = static_cast<double>(cfg.out());
-  const double bound =
-      (n1 + n2) / p +
-      std::min(std::sqrt(n1 * n2 / p), std::cbrt(n1 * n2 * o) / P23(p));
+  const double bound = plan::NewMatMulBound(cfg.n1(), cfg.n2(), cfg.out(), p);
   EXPECT_LE(cluster.stats().max_load, static_cast<std::int64_t>(12 * bound))
       << "p=" << p << " OUT=" << cfg.out();
 }
@@ -59,12 +52,10 @@ TEST(LineBoundTest, Theorem4LoadBound) {
     cfg.side_mid = 30;
     mpc::Cluster cluster(p);
     auto instance = GenLineBlocks<S>(cluster, cfg);
-    const double n = static_cast<double>(instance.relations[1].TotalSize());
+    const std::int64_t n = instance.relations[1].TotalSize();
     cluster.ResetStats();
     LineQueryAggregate(cluster, std::move(instance));
-    const double o = static_cast<double>(cfg.out());
-    const double bound = std::pow(n * o / p, 2.0 / 3.0) +
-                         n * std::sqrt(o) / p + (n + o) / p;
+    const double bound = plan::NewLineStarBound(n, cfg.out(), p);
     EXPECT_LE(cluster.stats().max_load,
               static_cast<std::int64_t>(15 * bound))
         << "p=" << p;
@@ -80,12 +71,10 @@ TEST(StarBoundTest, Theorem5LoadBound) {
     cfg.side_b = 24;
     mpc::Cluster cluster(p);
     auto instance = GenStarBlocks<S>(cluster, cfg);
-    const double n = static_cast<double>(instance.relations[0].TotalSize());
+    const std::int64_t n = instance.relations[0].TotalSize();
     cluster.ResetStats();
     StarQueryAggregate(cluster, std::move(instance));
-    const double o = static_cast<double>(cfg.out());
-    const double bound = std::pow(n * o / p, 2.0 / 3.0) +
-                         n * std::sqrt(o) / p + (n + o) / p;
+    const double bound = plan::NewLineStarBound(n, cfg.out(), p);
     EXPECT_LE(cluster.stats().max_load,
               static_cast<std::int64_t>(15 * bound))
         << "p=" << p;

@@ -267,14 +267,16 @@ TEST(ParallelPackingTest, RespectsCapacityAndFill) {
   double total = 0;
   for (int i = 0; i < 200; ++i) {
     double w = rng.UniformDouble() * 0.99 + 0.01;
-    items.push_back({i, w, -1});
+    items.push_back({i, w});
     total += w;
   }
-  auto packed = ParallelPacking(c, items);
+  const Packing packed = ParallelPacking(c, items);
   std::map<int, double> group_sum;
-  for (const auto& it : packed) {
-    ASSERT_GE(it.group, 0);
-    group_sum[it.group] += it.weight;
+  for (const auto& it : items) {
+    const int g = packed.group_of.at(it.id);
+    ASSERT_GE(g, 0);
+    ASSERT_LT(g, packed.groups);
+    group_sum[g] += it.weight;
   }
   int under_half = 0;
   for (const auto& [g, sum] : group_sum) {
@@ -287,11 +289,9 @@ TEST(ParallelPackingTest, RespectsCapacityAndFill) {
 
 TEST(ParallelPackingTest, SingleHeavyItemsGetOwnGroups) {
   Cluster c(2);
-  std::vector<PackedItem> items = {{0, 0.9, -1}, {1, 0.8, -1}, {2, 0.1, -1}};
-  auto packed = ParallelPacking(c, items);
-  std::map<std::int64_t, int> group_of;
-  for (const auto& it : packed) group_of[it.id] = it.group;
-  EXPECT_NE(group_of[0], group_of[1]);
+  std::vector<PackedItem> items = {{0, 0.9}, {1, 0.8}, {2, 0.1}};
+  const Packing packed = ParallelPacking(c, items);
+  EXPECT_NE(packed.group_of.at(0), packed.group_of.at(1));
 }
 
 TEST(ParallelRegionTest, RoundsCountLongestBranch) {
@@ -388,14 +388,15 @@ TEST(SortTest, SplitterMergeMatchesPairwiseLadder) {
 
 TEST(ParallelPackingTest, ZeroWeightItemsRideAlongWithoutNewGroups) {
   Cluster c(2);
-  std::vector<PackedItem> items = {{0, 0.6, -1}, {1, 0.0, -1}, {2, 0.4, -1},
-                                   {3, 0.0, -1}, {4, 0.3, -1}, {5, 0.0, -1}};
+  std::vector<PackedItem> items = {{0, 0.6}, {1, 0.0}, {2, 0.4},
+                                   {3, 0.0}, {4, 0.3}, {5, 0.0}};
   const double total = 0.6 + 0.4 + 0.3;
-  auto packed = ParallelPacking(c, items);
+  const Packing packed = ParallelPacking(c, items);
   std::map<int, double> group_sum;
-  for (const auto& it : packed) {
-    ASSERT_GE(it.group, 0) << "item " << it.id << " left unassigned";
-    group_sum[it.group] += it.weight;
+  for (const auto& it : items) {
+    const int g = packed.group_of.at(it.id);
+    ASSERT_GE(g, 0) << "item " << it.id << " left unassigned";
+    group_sum[g] += it.weight;
   }
   for (const auto& [g, sum] : group_sum) EXPECT_LE(sum, 1.0 + 1e-9);
   EXPECT_LE(static_cast<double>(group_sum.size()), 1 + 2 * total)
@@ -405,10 +406,11 @@ TEST(ParallelPackingTest, ZeroWeightItemsRideAlongWithoutNewGroups) {
 TEST(ParallelPackingTest, AllZeroWeightsShareOneGroup) {
   // m <= 1 + 2*sum(w) forces a single group when every weight is zero.
   Cluster c(2);
-  std::vector<PackedItem> items = {{0, 0.0, -1}, {1, 0.0, -1}, {2, 0.0, -1}};
-  auto packed = ParallelPacking(c, items);
-  ASSERT_EQ(packed.size(), 3u);
-  for (const auto& it : packed) EXPECT_EQ(it.group, 0);
+  std::vector<PackedItem> items = {{0, 0.0}, {1, 0.0}, {2, 0.0}};
+  const Packing packed = ParallelPacking(c, items);
+  EXPECT_EQ(packed.groups, 1);
+  ASSERT_EQ(packed.group_of.size(), 3u);
+  for (const auto& [id, g] : packed.group_of) EXPECT_EQ(g, 0);
 }
 
 // --- ReduceByKey on a copied or a moved input --------------------------------
